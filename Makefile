@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test check bench race vet trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke pdes-bench obs-smoke obs-gate obs-baseline qos-smoke
+.PHONY: build test check bench fmt race vet trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke pdes-bench obs-smoke obs-gate obs-baseline qos-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +11,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt: fail when any Go file in the tree is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
+		echo "fmt: files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
+	@echo "fmt: ok"
 
 # race: the concurrency gate for the engine hot path, the parallel
 # sweep runner (includes the serial-vs-parallel parity test), the
@@ -152,9 +159,9 @@ obs-baseline:
 	$(GO) run ./cmd/ipipe-bench -quick -report BENCH_obs.json
 	@echo "obs-baseline: wrote BENCH_obs.json"
 
-# check: the CI step — static analysis, the race suite, and the
-# observability and invariant smoke tests.
-check: vet race trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke qos-smoke obs-smoke obs-gate
+# check: the CI step — formatting, static analysis, the race suite, and
+# the observability and invariant smoke tests.
+check: fmt vet race trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke qos-smoke obs-smoke obs-gate
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/ ./internal/bench/

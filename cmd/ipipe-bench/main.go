@@ -9,7 +9,7 @@
 // experiment, with notes comparing against the numbers the paper
 // reports. -json emits one NDJSON record per experiment instead,
 // including wall time and simulated-event throughput. -cpuprofile and
-// -memprofile write pprof profiles of the run.
+// -memprofile write pprof profiles of the run, in every mode.
 //
 // -check replaces the normal run with a golden-fingerprint replay: each
 // experiment runs at two seeds, serially and with a parallel sweep,
@@ -43,6 +43,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,37 +60,58 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "trim sweeps and windows for a fast run")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "emit one NDJSON record per experiment")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep-point worker count (1 = serial)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write a heap profile to `file`")
-	traceFile := flag.String("trace", "", "write a Chrome trace of every simulated cluster to `file` (forces -parallel 1)")
-	metricsFile := flag.String("metrics", "", "write NDJSON metric snapshots to `file` (forces -parallel 1)")
-	metricsInterval := flag.Duration("metrics-interval", 100*time.Microsecond, "metric snapshot interval (virtual time)")
-	check := flag.Bool("check", false, "golden replay: run with invariant checking at two seeds × serial/parallel and compare fingerprints")
-	qosAxis := flag.Bool("qos", false, "run the qos-* experiment family; with -check, replay it along both the sweep axis and the PDES axis at 1/2/4 workers")
-	pdes := flag.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults); with -check, replays along the PDES axis")
-	pdesBench := flag.String("pdes-bench", "", "write the PDES speedup matrix (JSON) to `file` and exit ('-' for stdout)")
-	pdesNodes := flag.String("pdes-nodes", "", "comma-separated mesh sizes for -pdes-bench (default: the scale-nodes sweep sizes)")
-	pdesWorkers := flag.String("pdes-workers", "2,4,8", "comma-separated window worker counts for -pdes-bench")
-	reportFile := flag.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
-	baselineFile := flag.String("baseline", "", "compare the observed-run summary against the artifact in `file`; exit nonzero on regression")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command: it parses args, runs the selected mode and
+// returns the exit code. Profiling brackets every mode, and the
+// profiles are flushed on every return path, failures included.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("ipipe-bench", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "trim sweeps and windows for a fast run")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jsonOut := fs.Bool("json", false, "emit one NDJSON record per experiment")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep-point worker count (1 = serial)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write a heap profile to `file`")
+	traceFile := fs.String("trace", "", "write a Chrome trace of every simulated cluster to `file` (forces -parallel 1)")
+	metricsFile := fs.String("metrics", "", "write NDJSON metric snapshots to `file` (forces -parallel 1)")
+	metricsInterval := fs.Duration("metrics-interval", 100*time.Microsecond, "metric snapshot interval (virtual time)")
+	check := fs.Bool("check", false, "golden replay: run with invariant checking at two seeds × serial/parallel and compare fingerprints")
+	qosAxis := fs.Bool("qos", false, "run the qos-* experiment family; with -check, replay it along both the sweep axis and the PDES axis at 1/2/4 workers")
+	pdes := fs.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults); with -check, replays along the PDES axis")
+	pdesBench := fs.String("pdes-bench", "", "write the PDES speedup matrix (JSON) to `file` and exit ('-' for stdout)")
+	pdesNodes := fs.String("pdes-nodes", "", "comma-separated mesh sizes for -pdes-bench (default: the scale-nodes sweep sizes)")
+	pdesWorkers := fs.String("pdes-workers", "2,4,8", "comma-separated window worker counts for -pdes-bench")
+	reportFile := fs.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
+	baselineFile := fs.String("baseline", "", "compare the observed-run summary against the artifact in `file`; exit nonzero on regression")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stop(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
 
 	if *pdesBench != "" {
 		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
 		sizes, err := intList(*pdesNodes)
 		if err != nil {
-			fatal(fmt.Errorf("-pdes-nodes: %w", err))
+			return fail(fmt.Errorf("-pdes-nodes: %w", err))
 		}
 		workers, err := intList(*pdesWorkers)
 		if err != nil {
-			fatal(fmt.Errorf("-pdes-workers: %w", err))
+			return fail(fmt.Errorf("-pdes-workers: %w", err))
 		}
 		rep := bench.PDESBench(opts, sizes, workers)
 		err = writeTo(*pdesBench, func(w io.Writer) error {
@@ -98,26 +120,26 @@ func main() {
 			return enc.Encode(rep)
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for _, e := range rep.Entries {
 			if !e.FingerprintOK {
-				fatal(fmt.Errorf("pdes-bench: nodes=%d workers=%d diverged from the serial merge", e.Nodes, e.Workers))
+				return fail(fmt.Errorf("pdes-bench: nodes=%d workers=%d diverged from the serial merge", e.Nodes, e.Workers))
 			}
 		}
-		return
+		return 0
 	}
 
 	if *reportFile != "" || *baselineFile != "" {
 		opts := bench.Options{Quick: *quick, Seed: *seed,
 			PDESParts: *pdes, PDESWorkers: *parallel}
-		rep, err := bench.ObsReport(opts, flag.Args())
+		rep, err := bench.ObsReport(opts, fs.Args())
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *reportFile != "" {
 			if err := writeTo(*reportFile, rep.WriteReport); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if *reportFile != "-" {
 				fmt.Fprintf(os.Stderr, "report: %d experiments -> %s\n",
@@ -127,27 +149,27 @@ func main() {
 		if *baselineFile != "" {
 			f, err := os.Open(*baselineFile)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			base, err := obs.ReadReport(f)
 			f.Close()
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if bad := obs.CompareReports(base, rep, obs.GateOptions{}); len(bad) > 0 {
 				for _, line := range bad {
 					fmt.Fprintln(os.Stderr, "obs-gate: REGRESSION:", line)
 				}
 				fmt.Fprintf(os.Stderr, "obs-gate: FAIL (%d regressions vs %s)\n", len(bad), *baselineFile)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "obs-gate: OK (%d experiments vs %s)\n",
 				len(base.Experiments), *baselineFile)
 		}
-		return
+		return 0
 	}
 
-	ids := flag.Args()
+	ids := fs.Args()
 	if *qosAxis && len(ids) == 0 {
 		ids = bench.QoSExperimentIDs()
 	}
@@ -156,7 +178,7 @@ func main() {
 		for _, id := range bench.IDs() {
 			fmt.Printf("  %-8s %s\n", id, bench.Title(id))
 		}
-		return
+		return 0
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = bench.IDs()
@@ -164,7 +186,7 @@ func main() {
 
 	if *check {
 		if *traceFile != "" || *metricsFile != "" {
-			fatal(fmt.Errorf("-check cannot be combined with -trace/-metrics (both claim the cluster observer hook)"))
+			return fail(fmt.Errorf("-check cannot be combined with -trace/-metrics (both claim the cluster observer hook)"))
 		}
 		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
 		var rep *bench.ReplayReport
@@ -178,25 +200,13 @@ func main() {
 			rep, err = bench.GoldenReplay(ids, opts, *parallel)
 		}
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.Fprint(os.Stdout)
 		if !rep.OK() {
-			os.Exit(1)
+			return 1
 		}
-		return
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+		return 0
 	}
 
 	// Observability: one tracer shared across every cluster the sweep
@@ -240,12 +250,12 @@ func main() {
 	for _, id := range ids {
 		r, err := bench.Run(id, opts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		switch {
 		case *jsonOut:
 			if err := r.FprintJSON(os.Stdout, opts); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		case *csvOut:
 			r.FprintCSV(os.Stdout)
@@ -258,7 +268,7 @@ func main() {
 
 	if tracer != nil {
 		if err := writeTo(*traceFile, tracer.WriteChromeTrace); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d spans on %d tracks -> %s\n",
 			tracer.Spans(), tracer.Tracks(), *traceFile)
@@ -274,27 +284,46 @@ func main() {
 			return nil
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "metrics: %d clusters -> %s\n", len(collectors), *metricsFile)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-	}
+	return 0
 }
 
-func fatal(err error) {
+// fail reports err and returns the failure exit code.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "ipipe-bench:", err)
-	os.Exit(1)
+	return 1
+}
+
+// startProfiles starts the CPU profile and returns the function that
+// stops it and writes the heap profile; either file may be "".
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memFile == "" {
+			return nil
+		}
+		runtime.GC()
+		return writeTo(memFile, pprof.WriteHeapProfile)
+	}, nil
 }
 
 // intList parses a comma-separated list of positive ints ("" = nil).

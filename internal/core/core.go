@@ -304,6 +304,16 @@ type Node struct {
 	// flushArmed tracks the pending ring-flush timer.
 	flushArmed bool
 
+	// Request-path handlers bound once in AddNode, so delivering,
+	// admitting and finishing a request schedules no fresh closure:
+	// dpdkArriveFn is the baseline host's receive, flushFn applies a
+	// finished execution's effects, ringFlushFn fires the ring-flush
+	// timer. ctxFree pools execution contexts.
+	dpdkArriveFn func(any)
+	flushFn      func(any)
+	ringFlushFn  func(any)
+	ctxFree      []*execCtx
+
 	// Failure-injection state (see fault.go): down marks the whole node
 	// crashed, nicDown the SmartNIC processing complex alone, and
 	// nicSlowdown > 1 dilates NIC-core service times (overload bursts).
@@ -379,6 +389,9 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		Violations: isolation.NewViolationLog(),
 		actors:     map[actor.ID]*actor.Actor{},
 	}
+	n.dpdkArriveFn = n.dpdkArrive
+	n.flushFn = n.flush
+	n.ringFlushFn = n.ringFlush
 
 	n.Host = hostsim.New(eng, hostsim.Config{
 		Cores:    cfg.HostCores,
@@ -391,7 +404,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 	})
 
 	if cfg.NIC != nil {
-		n.Gate = nicsim.NewTrafficGate(eng, cfg.NIC)
+		n.Gate = nicsim.NewTrafficGate(eng, cfg.NIC, n.admitted)
 		n.Accels = nicsim.NewAccelBank(eng, cfg.NIC)
 		n.DMA = pcie.New(eng, cfg.NIC.DMA)
 		n.Chan = msgring.NewChannel(eng, n.DMA, cfg.RingSlots, cfg.RingBatch)
@@ -541,51 +554,67 @@ func (n *Node) Deliver(pkt *netsim.Packet) {
 	case RespEnvelope:
 		// A response to a client co-located on this node.
 		p.Fn(p.Msg)
-	case actor.Msg:
-		m := p
-		m.WireSize = pkt.Size
-		m.FlowID = pkt.FlowID
-		m.Via = actor.ViaWire
-		if m.Origin == "" {
-			m.Origin = pkt.Src
-		}
+	case actor.Msg, BatchEnvelope:
 		if n.Sched != nil && !n.nicDown {
-			n.Gate.Admit(m.FlowID, pkt.Size, func() { n.arriveNIC(m) })
+			// One gate admission per packet (a batch train pays once);
+			// the scheduler then sees the individual messages.
+			n.Gate.Admit(pkt)
 			return
 		}
 		// Baseline node: DPDK delivers straight to host cores after the
 		// stack's receive latency.
-		n.eng.After(n.HostModel.DPDKRecvCost.Cost(pkt.Size)-n.HostModel.DPDKRxOcc, func() {
-			n.Host.Arrive(m)
-		})
-	case BatchEnvelope:
-		msgs := make([]actor.Msg, len(p.Msgs))
-		for i, m := range p.Msgs {
-			m.WireSize = p.Sizes[i]
-			m.Via = actor.ViaWire
-			if m.Origin == "" {
-				m.Origin = pkt.Src
-			}
-			msgs[i] = m
-		}
-		if n.Sched != nil && !n.nicDown {
-			// One gate admission for the whole train; the scheduler then
-			// sees the individual messages.
-			n.Gate.Admit(pkt.FlowID, pkt.Size, func() {
-				for _, m := range msgs {
-					n.arriveNIC(m)
-				}
-			})
-			return
-		}
-		n.eng.After(n.HostModel.DPDKRecvCost.Cost(pkt.Size)-n.HostModel.DPDKRxOcc, func() {
-			for _, m := range msgs {
-				n.Host.Arrive(m)
-			}
-		})
+		n.eng.AfterArg(n.HostModel.DPDKRecvCost.Cost(pkt.Size)-n.HostModel.DPDKRxOcc, n.dpdkArriveFn, pkt)
 	default:
 		n.Dropped++
 	}
+}
+
+// admitted is the traffic gate's deliver handler: the packet's
+// messages enter the NIC-side runtime.
+func (n *Node) admitted(pkt *netsim.Packet) {
+	switch p := pkt.Payload.(type) {
+	case actor.Msg:
+		n.arriveNIC(wireMsg(pkt, p))
+	case BatchEnvelope:
+		for i, m := range p.Msgs {
+			n.arriveNIC(batchMsg(pkt, m, p.Sizes[i]))
+		}
+	}
+}
+
+// dpdkArrive hands a received packet's messages to the host cores of a
+// node without an iPipe NIC path.
+func (n *Node) dpdkArrive(arg any) {
+	pkt := arg.(*netsim.Packet)
+	switch p := pkt.Payload.(type) {
+	case actor.Msg:
+		n.Host.Arrive(wireMsg(pkt, p))
+	case BatchEnvelope:
+		for i, m := range p.Msgs {
+			n.Host.Arrive(batchMsg(pkt, m, p.Sizes[i]))
+		}
+	}
+}
+
+// wireMsg is a request as the runtime sees it off the wire.
+func wireMsg(pkt *netsim.Packet, m actor.Msg) actor.Msg {
+	m.WireSize = pkt.Size
+	m.FlowID = pkt.FlowID
+	m.Via = actor.ViaWire
+	if m.Origin == "" {
+		m.Origin = pkt.Src
+	}
+	return m
+}
+
+// batchMsg is one message of a batch train, carrying its wire share.
+func batchMsg(pkt *netsim.Packet, m actor.Msg, size int) actor.Msg {
+	m.WireSize = size
+	m.Via = actor.ViaWire
+	if m.Origin == "" {
+		m.Origin = pkt.Src
+	}
+	return m
 }
 
 // runOnNIC is the scheduler's Run hook: execute the handler for real,
@@ -597,7 +626,7 @@ func (n *Node) runOnNIC(a *actor.Actor, m actor.Msg) sim.Time {
 		n.DownDrops++
 		return 100 * sim.Nanosecond
 	}
-	ctx := &execCtx{node: n, a: a, onNIC: true}
+	ctx := n.getCtx(a, true)
 	ref := a.OnMessage(ctx, m)
 	service := n.scaleNIC(ref) + ctx.extra
 	if n.Watchdog != nil {
@@ -612,7 +641,7 @@ func (n *Node) runOnHost(a *actor.Actor, m actor.Msg) sim.Time {
 		n.DownDrops++
 		return 100 * sim.Nanosecond
 	}
-	ctx := &execCtx{node: n, a: a, onNIC: false}
+	ctx := n.getCtx(a, false)
 	ref := a.OnMessage(ctx, m)
 	service := n.scaleHost(ref, a) + ctx.extra
 	switch m.Via {
@@ -666,10 +695,13 @@ func (n *Node) armFlush() {
 		return
 	}
 	n.flushArmed = true
-	n.eng.After(sim.Microsecond, func() {
-		n.flushArmed = false
-		n.Chan.Flush()
-	})
+	n.eng.AfterArg(sim.Microsecond, n.ringFlushFn, nil)
+}
+
+// ringFlush is the armed ring-flush timer's handler.
+func (n *Node) ringFlush(any) {
+	n.flushArmed = false
+	n.Chan.Flush()
 }
 
 // pumpToHost drains ready NIC→host messages into the host scheduler.

@@ -10,7 +10,8 @@ import (
 // execCtx implements actor.Ctx for one handler invocation. It records
 // the modeled cost of every runtime service the handler uses (sends,
 // DMO accesses, accelerator invocations) in extra; the Run hooks add
-// extra to the handler's own compute cost.
+// extra to the handler's own compute cost. Contexts are pooled per
+// Node (getCtx/putCtx): the request path allocates none.
 type execCtx struct {
 	node  *Node
 	a     *actor.Actor
@@ -19,11 +20,53 @@ type execCtx struct {
 	// free disables cost accounting (used for OnInit, which the paper
 	// performs at registration time, off the data path).
 	free bool
-	// deferred collects the handler's outbound effects (sends, replies).
+	// effects collects the handler's outbound effects (sends, replies).
 	// Handlers execute instantly in real time, but their messages must
 	// leave when the modeled execution *finishes*, so the runtime
-	// flushes these after the service time elapses.
-	deferred []func()
+	// flushes these after the service time elapses (Node.flush).
+	effects []effect
+}
+
+// effectKind enumerates a handler's deferred outbound effects.
+type effectKind uint8
+
+const (
+	// effWire sends m to the remote node to as its own packet.
+	effWire effectKind = iota
+	// effReply returns m to the external client at m.Origin.
+	effReply
+	// effLocalFromNIC / effLocalFromHost route m to a same-node actor,
+	// re-resolving where it lives at flush time.
+	effLocalFromNIC
+	effLocalFromHost
+)
+
+// effect is one deferred outbound effect, held by value.
+type effect struct {
+	kind effectKind
+	size int
+	to   string
+	m    actor.Msg
+}
+
+// getCtx checks a context out of the node's pool.
+func (n *Node) getCtx(a *actor.Actor, onNIC bool) *execCtx {
+	var c *execCtx
+	if k := len(n.ctxFree); k > 0 {
+		c, n.ctxFree = n.ctxFree[k-1], n.ctxFree[:k-1]
+	} else {
+		c = &execCtx{node: n}
+	}
+	c.a, c.onNIC, c.extra = a, onNIC, 0
+	return c
+}
+
+// putCtx returns a context whose effects have all been applied.
+func (n *Node) putCtx(c *execCtx) {
+	clear(c.effects)
+	c.effects = c.effects[:0]
+	c.a = nil
+	n.ctxFree = append(n.ctxFree, c)
 }
 
 func (c *execCtx) charge(d sim.Time) {
@@ -32,31 +75,64 @@ func (c *execCtx) charge(d sim.Time) {
 	}
 }
 
-// later queues an outbound effect; OnInit contexts run immediately.
-func (c *execCtx) later(fn func()) {
+// later queues an outbound effect; OnInit contexts apply it immediately.
+func (c *execCtx) later(e effect) {
 	if c.free {
-		fn()
+		c.apply(&e)
 		return
 	}
-	c.deferred = append(c.deferred, fn)
+	c.effects = append(c.effects, e)
 }
 
 // finish schedules the deferred effects to fire when the modeled
-// service completes and returns the service time unchanged.
+// service completes — the context stays checked out until then — and
+// returns the service time.
 func (c *execCtx) finish(service sim.Time) sim.Time {
-	if len(c.deferred) > 0 {
-		fns := c.deferred
-		c.deferred = nil
-		if service <= 0 {
-			service = 1
-		}
-		c.node.eng.After(service, func() {
-			for _, fn := range fns {
-				fn()
-			}
-		})
+	n := c.node
+	if len(c.effects) == 0 {
+		n.putCtx(c)
+		return service
 	}
+	if service <= 0 {
+		service = 1
+	}
+	n.eng.AfterArg(service, n.flushFn, c)
 	return service
+}
+
+// flush is the bound handler applying a finished execution's effects in
+// the order the handler produced them.
+func (n *Node) flush(arg any) {
+	c := arg.(*execCtx)
+	for i := range c.effects {
+		c.apply(&c.effects[i])
+	}
+	n.putCtx(c)
+}
+
+// apply performs one outbound effect.
+func (c *execCtx) apply(e *effect) {
+	n := c.node
+	switch e.kind {
+	case effWire:
+		n.c.Net.Send(&netsim.Packet{
+			Src: n.Name, Dst: e.to, Size: e.size,
+			FlowID:  e.m.FlowID,
+			Payload: e.m,
+		})
+	case effReply:
+		resp := e.m
+		resp.Reply = nil
+		n.c.Net.Send(&netsim.Packet{
+			Src: n.Name, Dst: e.m.Origin, Size: e.size,
+			FlowID:  e.m.FlowID,
+			Payload: RespEnvelope{Fn: e.m.Reply, Msg: resp},
+		})
+	case effLocalFromNIC:
+		c.deliverLocalFromNIC(e.m)
+	case effLocalFromHost:
+		c.deliverLocalFromHost(e.m)
+	}
 }
 
 // Now implements actor.Ctx.
@@ -96,13 +172,7 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 		}
 		m.Via = actor.ViaWire
 		m.WireSize = size
-		c.later(func() {
-			n.c.Net.Send(&netsim.Packet{
-				Src: n.Name, Dst: ref.Node, Size: size,
-				FlowID:  m.FlowID,
-				Payload: m,
-			})
-		})
+		c.later(effect{kind: effWire, size: size, to: ref.Node, m: m})
 		return
 	}
 	// Local node. The destination side is re-resolved at flush time:
@@ -110,16 +180,16 @@ func (c *execCtx) Send(dst actor.ID, m actor.Msg) {
 	switch {
 	case c.onNIC && ref.OnNIC:
 		c.charge(100 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromNIC(m) })
+		c.later(effect{kind: effLocalFromNIC, m: m})
 	case c.onNIC && !ref.OnNIC:
 		c.charge(150 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromNIC(m) })
+		c.later(effect{kind: effLocalFromNIC, m: m})
 	case !c.onNIC && ref.OnNIC:
 		c.charge(60*sim.Nanosecond + n.HostModel.RingTxOcc)
-		c.later(func() { c.deliverLocalFromHost(m) })
+		c.later(effect{kind: effLocalFromHost, m: m})
 	default:
 		c.charge(80 * sim.Nanosecond)
-		c.later(func() { c.deliverLocalFromHost(m) })
+		c.later(effect{kind: effLocalFromHost, m: m})
 	}
 }
 
@@ -181,15 +251,7 @@ func (c *execCtx) Reply(m actor.Msg) {
 	} else {
 		c.charge(n.HostModel.DPDKTxOcc)
 	}
-	resp := m
-	resp.Reply = nil
-	c.later(func() {
-		n.c.Net.Send(&netsim.Packet{
-			Src: n.Name, Dst: m.Origin, Size: size,
-			FlowID:  m.FlowID,
-			Payload: RespEnvelope{Fn: m.Reply, Msg: resp},
-		})
-	})
+	c.later(effect{kind: effReply, size: size, m: m})
 }
 
 // side returns where this execution's objects live.

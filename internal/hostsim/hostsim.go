@@ -9,6 +9,8 @@
 package hostsim
 
 import (
+	"fmt"
+
 	"repro/internal/actor"
 	"repro/internal/sim"
 )
@@ -61,6 +63,39 @@ type hcore struct {
 	busy      bool
 
 	Executed uint64
+
+	// The in-flight operation's continuation, in typed fields instead
+	// of a closure (a core runs one operation at a time): op selects it,
+	// opActor/opMsg/opStart/opService are its operands. stepFn and
+	// occupiedFn are step and occupied bound once.
+	op         hostOp
+	opActor    *actor.Actor
+	opMsg      actor.Msg
+	opStart    sim.Time
+	opService  sim.Time
+	stepFn     func(any)
+	occupiedFn func(any)
+}
+
+// hostOp names the continuation of a host core's in-flight operation.
+type hostOp uint8
+
+const (
+	hostOpNone hostOp = iota
+	// hostOpUnowned: a message for an actor not on the host, handed to
+	// the Unowned hook.
+	hostOpUnowned
+	// hostOpPark: a message for an exclusive actor busy elsewhere.
+	hostOpPark
+	// hostOpExec: an actor execution.
+	hostOpExec
+)
+
+func newHcore(h *Host, id int) *hcore {
+	c := &hcore{h: h, id: id, idle: true}
+	c.stepFn = func(any) { c.step() }
+	c.occupiedFn = c.occupied
+	return c
 }
 
 // New builds a host with the given configuration.
@@ -82,7 +117,7 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Host {
 		actors: map[actor.ID]*actor.Actor{},
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		h.cores = append(h.cores, &hcore{h: h, id: i, idle: true})
+		h.cores = append(h.cores, newHcore(h, i))
 	}
 	return h
 }
@@ -178,7 +213,7 @@ func (c *hcore) kick() {
 		return
 	}
 	c.idle = false
-	c.h.eng.Defer(c.step)
+	c.h.eng.AfterArg(0, c.stepFn, nil)
 }
 
 func (c *hcore) pop() (actor.Msg, bool) {
@@ -216,43 +251,67 @@ func (c *hcore) step() {
 		return
 	}
 	a, resident := h.actors[m.Dst]
+	c.opActor, c.opMsg = a, m
 	if !resident {
-		c.occupy(h.cfg.PollCost, func() {
-			if h.hooks.Unowned != nil {
-				h.hooks.Unowned(m)
-			}
-			c.step()
-		})
+		c.occupy(h.cfg.PollCost, hostOpUnowned)
 		return
 	}
 	if !a.TryAcquire() {
 		// Exclusive actor busy elsewhere: park on the actor; the
 		// releasing core drains (a requeue would busy-spin).
-		c.occupy(h.cfg.PollCost, func() {
-			if a.Running() > 0 {
-				a.Mailbox.Push(m)
-			} else {
-				h.queues[c.id] = append(h.queues[c.id], m)
-			}
-			c.step()
-		})
+		c.occupy(h.cfg.PollCost, hostOpPark)
 		return
 	}
 	c.exec(a, m)
 }
 
-// exec runs one message and then drains messages parked while the actor
-// was exclusively held.
+// exec runs one message (occupied resumes when its service ends, and
+// drains messages parked while the actor was exclusively held).
 func (c *hcore) exec(a *actor.Actor, m actor.Msg) {
 	h := c.h
-	start := h.eng.Now()
-	service := h.cfg.PollCost + h.hooks.Run(a, m)
-	c.occupy(service, func() {
+	c.opStart = h.eng.Now()
+	c.opService = h.cfg.PollCost + h.hooks.Run(a, m)
+	c.opActor, c.opMsg = a, m
+	c.occupy(c.opService, hostOpExec)
+}
+
+func (c *hcore) occupy(d sim.Time, op hostOp) {
+	if c.op != hostOpNone {
+		panic(fmt.Sprintf("hostsim: core %d started an operation with another in flight", c.id))
+	}
+	c.op = op
+	if !c.busy {
+		c.busy = true
+		c.busyStart = c.h.eng.Now()
+	}
+	c.h.eng.AfterArg(d, c.occupiedFn, nil)
+}
+
+// occupied ends the in-flight operation and runs its continuation.
+func (c *hcore) occupied(any) {
+	h := c.h
+	c.endBusy()
+	op, a, m := c.op, c.opActor, c.opMsg
+	c.op, c.opActor, c.opMsg = hostOpNone, nil, actor.Msg{}
+	switch op {
+	case hostOpUnowned:
+		if h.hooks.Unowned != nil {
+			h.hooks.Unowned(m)
+		}
+		c.step()
+	case hostOpPark:
+		if a.Running() > 0 {
+			a.Mailbox.Push(m)
+		} else {
+			h.queues[c.id] = append(h.queues[c.id], m)
+		}
+		c.step()
+	case hostOpExec:
 		c.Executed++
 		h.Completed++
-		a.Observe(h.eng.Now()-m.ArrivedAt, service, m.WireSize)
+		a.Observe(h.eng.Now()-m.ArrivedAt, c.opService, m.WireSize)
 		if h.hooks.OnExec != nil {
-			h.hooks.OnExec(c.id, a, m, start, h.eng.Now())
+			h.hooks.OnExec(c.id, a, m, c.opStart, h.eng.Now())
 		}
 		if next, ok := a.Mailbox.Pop(); ok {
 			c.exec(a, next)
@@ -260,21 +319,7 @@ func (c *hcore) exec(a *actor.Actor, m actor.Msg) {
 		}
 		a.Release()
 		c.step()
-	})
-}
-
-func (c *hcore) occupy(d sim.Time, fn func()) {
-	if !c.busy {
-		c.busy = true
-		c.busyStart = c.h.eng.Now()
 	}
-	c.h.eng.After(d, func() {
-		if c.busy {
-			c.busy = false
-			c.busyAccum += c.h.eng.Now() - c.busyStart
-		}
-		fn()
-	})
 }
 
 func (c *hcore) endBusy() {

@@ -60,6 +60,8 @@ func (m *Message) intact() bool { return m.checksum == crc32.ChecksumIEEE(m.Data
 // view (credits) lags the consumer's true position until the consumer
 // syncs, exactly as with lazy header updates.
 type Ring struct {
+	// slots is allocated on first use (see use): a node whose host and
+	// NIC never exchange a message keeps no ring memory.
 	slots []Message
 	mask  int
 	head  int // consumer position
@@ -86,11 +88,19 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("msgring: capacity must be a positive power of two")
 	}
-	return &Ring{slots: make([]Message, capacity), mask: capacity - 1}
+	return &Ring{mask: capacity - 1}
+}
+
+// use returns the slot array, allocating it on first use.
+func (r *Ring) use() []Message {
+	if r.slots == nil {
+		r.slots = make([]Message, r.Cap())
+	}
+	return r.slots
 }
 
 // Cap returns the ring capacity in slots.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return r.mask + 1 }
 
 // EnableInvariants attaches the credit-conservation checker under the
 // given label.
@@ -104,13 +114,13 @@ func (r *Ring) EnableInvariants(chk *invariant.Checker, label string) {
 
 // check re-validates the pointer/credit relations; nil-checker safe.
 func (r *Ring) check() {
-	r.chk.RingOp(r.chkLabel, r.head, r.tail, r.creditHead, r.consumed, len(r.slots))
+	r.chk.RingOp(r.chkLabel, r.head, r.tail, r.creditHead, r.consumed, r.Cap())
 }
 
 // freeFromProducer is the producer's (possibly stale) view of free slots.
 func (r *Ring) freeFromProducer() int {
 	used := r.tail - r.creditHead
-	return len(r.slots) - used
+	return r.Cap() - used
 }
 
 // Len returns the number of occupied slots (true view).
@@ -124,7 +134,7 @@ func (r *Ring) push(m Message) (int, error) {
 	}
 	idx := r.tail & r.mask
 	m.seal()
-	r.slots[idx] = m
+	r.use()[idx] = m
 	r.tail++
 	r.Pushed++
 	r.check()
@@ -169,7 +179,7 @@ func (r *Ring) pop() (Message, bool) {
 // credit message (and its 40ns doorbell cost) on every poll, including
 // empty ones that consumed nothing.
 func (r *Ring) needsCreditSync() bool {
-	return r.consumed > 0 && r.consumed >= len(r.slots)/2
+	return r.consumed > 0 && r.consumed >= r.Cap()/2
 }
 
 // syncCredits publishes the consumer position to the producer.
@@ -183,11 +193,11 @@ func (r *Ring) syncCredits() {
 // Corrupt flips a byte in the queued message at logical offset i from
 // the consumer head, simulating a non-monotonic DMA write. Test hook.
 func (r *Ring) Corrupt(i int) {
-	idx := (r.head + i) & r.mask
-	if len(r.slots[idx].Data) > 0 {
-		r.slots[idx].Data[0] ^= 0xff
+	s := &r.use()[(r.head+i)&r.mask]
+	if len(s.Data) > 0 {
+		s.Data[0] ^= 0xff
 	} else {
-		r.slots[idx].checksum ^= 0xff
+		s.checksum ^= 0xff
 	}
 }
 

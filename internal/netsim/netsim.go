@@ -27,6 +27,25 @@ type Packet struct {
 	SentAt sim.Time
 	// FlowID steers the packet at receivers that hash flows to cores.
 	FlowID uint64
+
+	// job is the packet's own serializer job, reused on every link it
+	// crosses (and, once delivered, by the receiver — see Job), so a
+	// packet allocates nothing past its own creation. src and dst are
+	// the ports resolved at Send; xseq is the cross-partition merge
+	// stamp of the handoff in flight (0 when none).
+	job      sim.Job
+	src, dst *port
+	xseq     uint64
+}
+
+// Job returns the packet's station job, with the packet as its
+// Payload. netsim uses it for link serialization; once the packet has
+// been delivered the receiver may submit it to its own sim.Station (a
+// NIC ingress stage, a core) instead of allocating one, provided the
+// packet is not sent again until that job is done.
+func (p *Packet) Job() *sim.Job {
+	p.job.Payload = p
+	return &p.job
 }
 
 // Handler consumes packets delivered to a node.
@@ -97,6 +116,15 @@ type Network struct {
 	// chks holds one conservation checker per partition (index 0 on
 	// classic networks). Sparse: entries may be nil.
 	chks []*invariant.Checker
+
+	// The per-hop handlers of a packet's trip, bound once in New so
+	// scheduling a hop allocates nothing: the argument is always the
+	// *Packet (or its job).
+	uplinkDoneFn   func(*sim.Job)
+	downlinkDoneFn func(*sim.Job)
+	arriveFn       func(any)
+	handoffInFn    func(any)
+	deliverFn      func(any)
 }
 
 type port struct {
@@ -133,7 +161,13 @@ const DefaultSwitchLatency = 600 * sim.Nanosecond
 
 // New creates an empty network on the engine.
 func New(eng *sim.Engine) *Network {
-	return &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{}}
+	n := &Network{eng: eng, SwitchLatency: DefaultSwitchLatency, nodes: map[string]*port{}}
+	n.uplinkDoneFn = n.uplinkDone
+	n.downlinkDoneFn = n.downlinkDone
+	n.arriveFn = n.arrive
+	n.handoffInFn = n.handoffIn
+	n.deliverFn = n.deliver
+	return n
 }
 
 // NewPartitioned creates an empty network whose ports attach to the
@@ -430,60 +464,85 @@ func (n *Network) Send(pkt *Packet) {
 	}
 	pkt.SentAt = src.eng.Now()
 	chk.NetInject()
-	wire := spec.SerializationDelay(src.up.gbps, pkt.Size)
-	src.up.station.Submit(&sim.Job{
-		Service: wire,
-		Done: func(enq, started, fin sim.Time) {
-			src.sink.Span(src.txTrack, "frame", started, fin,
-				obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
-			// Propagation to switch, then queue on the downlink after
-			// the switch fabric delay.
-			hop := src.up.propagation + n.SwitchLatency
-			if n.group == nil || src.part == dst.part {
-				src.eng.After(hop, func() { n.arrive(dst, pkt) })
-				return
-			}
-			n.chkAt(src.part).NetHandoffOut()
-			now := src.eng.Now()
-			arriveAt := now + hop
-			// seq is assigned by Inject below, before this window ends;
-			// the "handoff in" closure reads it in a later window on the
-			// destination partition (the round barrier orders the two).
-			var seq uint64
-			seq = n.group.Inject(src.part, dst.part, arriveAt, func() {
-				n.chkAt(dst.part).NetHandoffIn()
-				dst.sink.Span(dst.xTrack, "handoff in", arriveAt, arriveAt, obs.Args{
-					Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
-					XC: n.domain, XSrc: int32(src.part), XSeq: seq, HasX: true,
-				})
-				n.arrive(dst, pkt)
-			})
-			src.sink.Span(src.xTrack, "handoff out", now, arriveAt, obs.Args{
-				Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
-				XC: n.domain, XSrc: int32(src.part), XSeq: seq, HasX: true,
-			})
-		},
+	pkt.src, pkt.dst = src, dst
+	j := pkt.Job()
+	j.Service = spec.SerializationDelay(src.up.gbps, pkt.Size)
+	j.Done = n.uplinkDoneFn
+	src.up.station.Submit(j)
+}
+
+// uplinkDone runs when the packet's last bit leaves the source uplink:
+// it propagates to the switch and, after the fabric delay, queues on
+// the destination downlink — directly, or through a cross-partition
+// handoff when the destination lives on another partition.
+func (n *Network) uplinkDone(j *sim.Job) {
+	pkt := j.Payload.(*Packet)
+	src, dst := pkt.src, pkt.dst
+	started, fin := j.Started(), src.eng.Now()
+	src.sink.Span(src.txTrack, "frame", started, fin,
+		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - j.Enqueued()})
+	hop := src.up.propagation + n.SwitchLatency
+	if n.group == nil || src.part == dst.part {
+		src.eng.AfterArg(hop, n.arriveFn, pkt)
+		return
+	}
+	n.chkAt(src.part).NetHandoffOut()
+	arriveAt := fin + hop
+	// The stamp is written before this window ends; handoffIn reads it
+	// in a later window on the destination partition (the round barrier
+	// orders the two), and the source never touches the packet again.
+	pkt.xseq = n.group.InjectArg(src.part, dst.part, arriveAt, n.handoffInFn, pkt)
+	src.sink.Span(src.xTrack, "handoff out", fin, arriveAt, obs.Args{
+		Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
+		XC: n.domain, XSrc: int32(src.part), XSeq: pkt.xseq, HasX: true,
 	})
+}
+
+// handoffIn is the destination half of a cross-partition crossing.
+func (n *Network) handoffIn(arg any) {
+	pkt := arg.(*Packet)
+	dst := pkt.dst
+	n.chkAt(dst.part).NetHandoffIn()
+	at := dst.eng.Now()
+	dst.sink.Span(dst.xTrack, "handoff in", at, at, obs.Args{
+		Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size,
+		XC: n.domain, XSrc: int32(pkt.src.part), XSeq: pkt.xseq, HasX: true,
+	})
+	pkt.xseq = 0
+	n.arrive(pkt)
 }
 
 // arrive runs on the destination's partition: the packet queues on the
 // downlink, serializes, propagates, and is delivered.
-func (n *Network) arrive(dst *port, pkt *Packet) {
-	down := spec.SerializationDelay(dst.down.gbps, pkt.Size)
-	dst.down.station.Submit(&sim.Job{
-		Service: down,
-		Done: func(enq, started, fin sim.Time) {
-			dst.sink.Span(dst.rxTrack, "frame", started, fin,
-				obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - enq})
-			dst.eng.After(dst.down.propagation, func() {
-				dst.delivered++
-				n.chkAt(dst.part).NetDeliver()
-				if dst.handler != nil {
-					dst.handler.Deliver(pkt)
-				}
-			})
-		},
-	})
+func (n *Network) arrive(arg any) {
+	pkt := arg.(*Packet)
+	dst := pkt.dst
+	j := pkt.Job()
+	j.Service = spec.SerializationDelay(dst.down.gbps, pkt.Size)
+	j.Done = n.downlinkDoneFn
+	dst.down.station.Submit(j)
+}
+
+func (n *Network) downlinkDone(j *sim.Job) {
+	pkt := j.Payload.(*Packet)
+	dst := pkt.dst
+	started := j.Started()
+	dst.sink.Span(dst.rxTrack, "frame", started, dst.eng.Now(),
+		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - j.Enqueued()})
+	dst.eng.AfterArg(dst.down.propagation, n.deliverFn, pkt)
+}
+
+// deliver hands the packet to the destination's handler. The network is
+// done with the packet before the handler runs, so the handler owns it
+// and may send it again.
+func (n *Network) deliver(arg any) {
+	pkt := arg.(*Packet)
+	dst := pkt.dst
+	dst.delivered++
+	n.chkAt(dst.part).NetDeliver()
+	if dst.handler != nil {
+		dst.handler.Deliver(pkt)
+	}
 }
 
 // OneWayBaseLatency returns the unloaded one-way latency for a frame

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/invariant"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -23,6 +24,10 @@ type TrafficGate struct {
 	eng     *sim.Engine
 	station *sim.Station
 	perPkt  sim.Time
+	// deliver receives every packet that clears the gate; doneFn is
+	// the stage's completion handler (cleared, bound once).
+	deliver func(pkt *netsim.Packet)
+	doneFn  func(*sim.Job)
 
 	Admitted uint64
 
@@ -31,9 +36,11 @@ type TrafficGate struct {
 	chk   *invariant.Checker
 }
 
-// NewTrafficGate builds a gate for the model's PPSCap.
-func NewTrafficGate(eng *sim.Engine, m *spec.NICModel) *TrafficGate {
-	g := &TrafficGate{eng: eng, track: obs.NoTrack}
+// NewTrafficGate builds a gate for the model's PPSCap that hands every
+// admitted packet to deliver (a handler bound once by the owner).
+func NewTrafficGate(eng *sim.Engine, m *spec.NICModel, deliver func(pkt *netsim.Packet)) *TrafficGate {
+	g := &TrafficGate{eng: eng, deliver: deliver, track: obs.NoTrack}
+	g.doneFn = g.cleared
 	if m.PPSCap > 0 {
 		g.perPkt = sim.Time(1e9 / m.PPSCap)
 		g.station = sim.NewStation(eng, 1)
@@ -62,23 +69,34 @@ func (g *TrafficGate) EnableInvariants(chk *invariant.Checker) {
 	g.chk = chk
 }
 
-// Admit passes a packet through the gate; deliver runs when the packet
-// clears the pipeline stage. flow and bytes annotate the trace span (a
-// transparent gate emits no span — there is no occupancy to show).
-func (g *TrafficGate) Admit(flow uint64, bytes int, deliver func()) {
+// Admit passes a delivered packet through the gate; the gate's deliver
+// handler runs when it clears the pipeline stage. The stage serves the
+// packet's own job (netsim.Packet.Job), so admission allocates nothing;
+// the packet must not be sent on until it is delivered. A transparent
+// gate delivers inline and emits no span — there is no occupancy to
+// show.
+func (g *TrafficGate) Admit(pkt *netsim.Packet) {
 	g.Admitted++
 	g.chk.GateAdmit()
 	if g.station == nil {
 		g.chk.GateDeliver()
-		deliver()
+		g.deliver(pkt)
 		return
 	}
-	g.station.Submit(&sim.Job{Service: g.perPkt, Done: func(enq, started, fin sim.Time) {
-		g.sink.Span(g.track, "admit", started, fin,
-			obs.Args{Req: flow, HasReq: flow != 0, Bytes: bytes, Wait: started - enq})
-		g.chk.GateDeliver()
-		deliver()
-	}})
+	j := pkt.Job()
+	j.Service = g.perPkt
+	j.Done = g.doneFn
+	g.station.Submit(j)
+}
+
+// cleared completes one packet's pass through the pipeline stage.
+func (g *TrafficGate) cleared(j *sim.Job) {
+	pkt := j.Payload.(*netsim.Packet)
+	started := j.Started()
+	g.sink.Span(g.track, "admit", started, g.eng.Now(),
+		obs.Args{Req: pkt.FlowID, HasReq: pkt.FlowID != 0, Bytes: pkt.Size, Wait: started - j.Enqueued()})
+	g.chk.GateDeliver()
+	g.deliver(pkt)
 }
 
 // AccelBank is the NIC's set of domain-specific accelerator units. Each
@@ -89,9 +107,12 @@ type AccelBank struct {
 	eng   *sim.Engine
 	units map[string]*accelUnit
 	sink  *obs.Sink
+	// doneFn is opDone bound once.
+	doneFn func(*sim.Job)
 }
 
 type accelUnit struct {
+	name    string
 	prof    spec.AccelProfile
 	station *sim.Station
 	Invokes uint64
@@ -99,13 +120,46 @@ type accelUnit struct {
 	track   obs.TrackID
 }
 
+// accelOp is one invocation (or injected stall) occupying a unit.
+type accelOp struct {
+	job   sim.Job
+	u     *accelUnit
+	bytes int
+	stall bool
+	done  func()
+}
+
 // NewAccelBank instantiates the model's accelerators.
 func NewAccelBank(eng *sim.Engine, m *spec.NICModel) *AccelBank {
 	b := &AccelBank{eng: eng, units: map[string]*accelUnit{}}
+	b.doneFn = b.opDone
 	for name, prof := range m.Accels {
-		b.units[name] = &accelUnit{prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
+		b.units[name] = &accelUnit{name: name, prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
 	}
 	return b
+}
+
+// submit occupies unit u for d with one operation.
+func (b *AccelBank) submit(u *accelUnit, d sim.Time, op accelOp) {
+	o := &op
+	o.u = u
+	o.job = sim.Job{Service: d, Done: b.doneFn, Payload: o}
+	u.station.Submit(&o.job)
+}
+
+// opDone completes one unit operation.
+func (b *AccelBank) opDone(j *sim.Job) {
+	o := j.Payload.(*accelOp)
+	started := j.Started()
+	if o.stall {
+		b.sink.Span(o.u.track, o.u.name+" [stall]", started, b.eng.Now(), obs.Args{Wait: started - j.Enqueued()})
+		return
+	}
+	b.sink.Span(o.u.track, o.u.name, started, b.eng.Now(),
+		obs.Args{Bytes: o.bytes, Wait: started - j.Enqueued()})
+	if o.done != nil {
+		o.done()
+	}
 }
 
 // EnableTracing registers one lane per accelerator unit in the given
@@ -163,13 +217,7 @@ func (b *AccelBank) Invoke(name string, bytes, batch int, done func()) (sim.Time
 	}
 	u := b.units[name]
 	u.Invokes++
-	u.station.Submit(&sim.Job{Service: cost, Done: func(enq, started, fin sim.Time) {
-		b.sink.Span(u.track, name, started, fin,
-			obs.Args{Bytes: bytes, Wait: started - enq})
-		if done != nil {
-			done()
-		}
-	}})
+	b.submit(u, cost, accelOp{bytes: bytes, done: done})
 	return cost, true
 }
 
@@ -182,10 +230,7 @@ func (b *AccelBank) Stall(name string, d sim.Time) bool {
 		return false
 	}
 	u.Stalls++
-	u.station.Submit(&sim.Job{Service: d, Done: func(enq, started, fin sim.Time) {
-		b.sink.Span(u.track, name+" [stall]", started, fin,
-			obs.Args{Wait: started - enq})
-	}})
+	b.submit(u, d, accelOp{stall: true})
 	return true
 }
 
@@ -211,10 +256,11 @@ func (b *AccelBank) Invokes(name string) uint64 {
 // reproduces Figures 2, 3 (bandwidth vs cores), 4 (bandwidth vs added
 // per-packet latency) and 5 (latency at peak throughput).
 type EchoServer struct {
-	eng   *sim.Engine
-	model *spec.NICModel
-	gate  *TrafficGate
-	cores *sim.Station
+	eng    *sim.Engine
+	model  *spec.NICModel
+	gate   *TrafficGate
+	cores  *sim.Station
+	doneFn func(*sim.Job)
 	// ExtraLatency is added per-packet processing (Figure 4's x-axis).
 	ExtraLatency sim.Time
 
@@ -229,26 +275,36 @@ func NewEchoServer(eng *sim.Engine, m *spec.NICModel, n int) *EchoServer {
 	if n <= 0 || n > m.Cores {
 		panic(fmt.Sprintf("nicsim: echo server cores %d out of range 1..%d", n, m.Cores))
 	}
-	return &EchoServer{
+	e := &EchoServer{
 		eng:   eng,
 		model: m,
-		gate:  NewTrafficGate(eng, m),
 		cores: sim.NewStation(eng, n),
 	}
+	e.gate = NewTrafficGate(eng, m, e.admitted)
+	e.doneFn = e.echoed
+	return e
 }
 
-// Receive handles one arriving frame of the given size.
+// Receive handles one arriving frame of the given size. The frame is a
+// netsim.Packet stamped with its arrival time, whose own job carries it
+// through the gate and then a core.
 func (e *EchoServer) Receive(size int) {
-	arrived := e.eng.Now()
-	e.gate.Admit(0, size, func() {
-		service := e.model.EchoCost.Cost(size) + e.ExtraLatency
-		e.cores.Submit(&sim.Job{Service: service, Done: func(_, _, fin sim.Time) {
-			e.Echoed++
-			if e.OnEcho != nil {
-				e.OnEcho(fin - arrived)
-			}
-		}})
-	})
+	e.gate.Admit(&netsim.Packet{Size: size, SentAt: e.eng.Now()})
+}
+
+// admitted queues a frame that cleared the gate on the cores.
+func (e *EchoServer) admitted(pkt *netsim.Packet) {
+	j := pkt.Job()
+	j.Service = e.model.EchoCost.Cost(pkt.Size) + e.ExtraLatency
+	j.Done = e.doneFn
+	e.cores.Submit(j)
+}
+
+func (e *EchoServer) echoed(j *sim.Job) {
+	e.Echoed++
+	if e.OnEcho != nil {
+		e.OnEcho(e.eng.Now() - j.Payload.(*netsim.Packet).SentAt)
+	}
 }
 
 // Backlog returns queued packets at the cores.

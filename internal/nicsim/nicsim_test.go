@@ -3,6 +3,7 @@ package nicsim
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -112,9 +113,9 @@ func TestFig5SharedQueueScaling(t *testing.T) {
 func TestTrafficGateTransparentWithoutCap(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := spec.LiquidIOII_CN2350() // PPSCap == 0
-	g := NewTrafficGate(eng, m)
 	delivered := false
-	g.Admit(0, 0, func() { delivered = true })
+	g := NewTrafficGate(eng, m, func(*netsim.Packet) { delivered = true })
+	g.Admit(&netsim.Packet{Size: 64})
 	if !delivered {
 		t.Fatal("transparent gate should deliver synchronously")
 	}

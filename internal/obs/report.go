@@ -134,7 +134,11 @@ type GateOptions struct {
 	// formatting slack).
 	RelTol float64
 	// AllocFactor fails the gate when current allocs exceed baseline ×
-	// factor (default 2; growth-only, shrinking is never a regression).
+	// factor (default 1.1; growth-only, shrinking is never a regression).
+	// Allocation counts are nearly deterministic — five repeated quick
+	// runs of the committed report spread by under 0.1% — so the band
+	// leaves room for scheduler-dependent runtime allocations, not for
+	// a hot path that starts allocating again.
 	AllocFactor float64
 	// GateWall also bands wall time by WallFactor (default off: CI
 	// machines are too noisy).
@@ -151,7 +155,7 @@ func (o GateOptions) relTol() float64 {
 
 func (o GateOptions) allocFactor() float64 {
 	if o.AllocFactor <= 1 {
-		return 2
+		return 1.1
 	}
 	return o.AllocFactor
 }

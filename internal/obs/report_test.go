@@ -116,13 +116,13 @@ func TestCompareReportsSyntheticRegressions(t *testing.T) {
 	expectFail(t, base, cur, "host_backlog")
 
 	cur = sampleReport()
-	cur.Experiments[0].Allocs *= 3 // past the 2x band
+	cur.Experiments[0].Allocs = cur.Experiments[0].Allocs * 6 / 5 // past the 1.1x band
 	expectFail(t, base, cur, "allocs")
 
 	cur = sampleReport()
-	cur.Experiments[0].Allocs = cur.Experiments[0].Allocs * 3 / 2 // inside the band
+	cur.Experiments[0].Allocs = cur.Experiments[0].Allocs * 21 / 20 // inside the band
 	if bad := CompareReports(base, cur, GateOptions{}); len(bad) != 0 {
-		t.Fatalf("1.5x allocs is inside the default 2x band, got %v", bad)
+		t.Fatalf("1.05x allocs is inside the default 1.1x band, got %v", bad)
 	}
 	cur.Experiments[0].Allocs = base.Experiments[0].Allocs / 2 // shrinking never fails
 	if bad := CompareReports(base, cur, GateOptions{}); len(bad) != 0 {

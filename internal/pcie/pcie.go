@@ -42,11 +42,28 @@ type Engine struct {
 
 	sink  *obs.Sink
 	track obs.TrackID
+
+	// free recycles transfer descriptors; doneFn is transferDone bound
+	// once, the station completion handler of every transfer.
+	free   []*dmaOp
+	doneFn func(*sim.Job)
+}
+
+// dmaOp is one in-flight DMA operation: the station job moving its
+// bytes plus what completion needs. Descriptors are pooled per engine.
+type dmaOp struct {
+	job      sim.Job
+	name     string
+	bytes    int
+	overhead sim.Time
+	done     func()
 }
 
 // New creates a DMA engine with the given profile.
 func New(eng *sim.Engine, prof spec.DMAProfile) *Engine {
-	return &Engine{eng: eng, prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
+	e := &Engine{eng: eng, prof: prof, station: sim.NewStation(eng, 1), track: obs.NoTrack}
+	e.doneFn = e.transferDone
+	return e
 }
 
 // EnableTracing records the engine's byte-transfer occupancy as a "dma"
@@ -73,17 +90,30 @@ func (e *Engine) op(name string, bytes int, latency sim.Time, done func()) {
 	if overhead < 0 {
 		overhead = 0
 	}
-	e.station.Submit(&sim.Job{
-		Service: transfer,
-		Done: func(enq, started, fin sim.Time) {
-			e.sink.Span(e.track, name, started, fin,
-				obs.Args{Bytes: bytes, Wait: started - enq})
-			if done == nil {
-				return
-			}
-			e.eng.After(overhead, done)
-		},
-	})
+	var t *dmaOp
+	if n := len(e.free); n > 0 {
+		t, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		t = &dmaOp{}
+		t.job.Payload = t
+		t.job.Done = e.doneFn
+	}
+	t.job.Service = transfer
+	t.name, t.bytes, t.overhead, t.done = name, bytes, overhead, done
+	e.station.Submit(&t.job)
+}
+
+// transferDone completes a transfer's engine occupancy; its done
+// callback fires once the remaining completion overhead has elapsed.
+func (e *Engine) transferDone(j *sim.Job) {
+	t := j.Payload.(*dmaOp)
+	e.sink.Span(e.track, t.name, j.Started(), e.eng.Now(),
+		obs.Args{Bytes: t.bytes, Wait: j.Started() - j.Enqueued()})
+	if t.done != nil {
+		e.eng.After(t.overhead, t.done)
+	}
+	t.done = nil
+	e.free = append(e.free, t)
 }
 
 // ReadBlocking starts a host-memory read. done fires when the completion

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"repro/internal/actor"
 	"repro/internal/sim"
 )
@@ -29,10 +31,52 @@ type core struct {
 
 	// Executed counts completed actor invocations on this core.
 	Executed uint64
+
+	// The loop's continuation. A core has at most one operation in
+	// flight (occupy panics otherwise), so what the operation resumes
+	// with lives in these typed fields rather than in a closure: op says
+	// which continuation runs when the occupancy ends, opActor/opMsg
+	// what it runs on, opStart/opService when it started and what it
+	// cost, opWorker the dispatcher's routing decision. stepFn and
+	// occupiedFn are step and occupied bound once, so the loop schedules
+	// no fresh closure.
+	op         opKind
+	opActor    *actor.Actor
+	opMsg      actor.Msg
+	opStart    sim.Time
+	opService  sim.Time
+	opWorker   int
+	stepFn     func(any)
+	occupiedFn func(any)
 }
 
+// opKind names the continuation of a core's in-flight operation.
+type opKind uint8
+
+const (
+	opNone opKind = iota
+	// opDispatch: an IOKernel routing decision to opWorker.
+	opDispatch
+	// opForward: host-bound traffic (or a departed actor's) forwarded.
+	opForward
+	// opBuffer: a migrating actor's message buffered in its mailbox.
+	opBuffer
+	// opToDRR: a DRR actor's message pushed to its mailbox.
+	opToDRR
+	// opPark: a message for an exclusive actor busy on another core.
+	opPark
+	// opExecFCFS / opExecDRR: an actor execution.
+	opExecFCFS
+	opExecDRR
+	// opScan: a DRR scan step without enough deficit to execute.
+	opScan
+)
+
 func newCore(s *Scheduler, id int) *core {
-	return &core{s: s, id: id, mode: FCFS, idle: true}
+	c := &core{s: s, id: id, mode: FCFS, idle: true}
+	c.stepFn = func(any) { c.step() }
+	c.occupiedFn = c.occupied
+	return c
 }
 
 func (c *core) setMode(m Mode) {
@@ -50,16 +94,74 @@ func (c *core) kick() {
 		return
 	}
 	c.idle = false
-	c.s.eng.Defer(c.step)
+	c.s.eng.AfterArg(0, c.stepFn, nil)
 }
 
-// occupy charges d of busy time, then continues with fn.
-func (c *core) occupy(d sim.Time, fn func()) {
+// occupy charges d of busy time, then continues with op on the
+// operation fields the caller set (see occupied).
+func (c *core) occupy(d sim.Time, op opKind) {
+	if c.op != opNone {
+		panic(fmt.Sprintf("sched: core %d started an operation with another in flight", c.id))
+	}
+	c.op = op
 	c.beginBusy()
-	c.s.eng.After(d, func() {
-		c.endBusy()
-		fn()
-	})
+	c.s.eng.AfterArg(d, c.occupiedFn, nil)
+}
+
+// occupied ends the in-flight operation's busy time and runs its
+// continuation. The operation fields are cleared first: continuations
+// start the next operation on this core.
+func (c *core) occupied(any) {
+	c.endBusy()
+	op, a, m := c.op, c.opActor, c.opMsg
+	c.op, c.opActor, c.opMsg = opNone, nil, actor.Msg{}
+	s := c.s
+	switch op {
+	case opDispatch:
+		if c.opWorker < len(s.cores) {
+			s.cores[c.opWorker].kick()
+		}
+		c.step()
+	case opForward:
+		s.Forwarded++
+		s.observeFCFS(m)
+		if s.hooks.OnExec != nil {
+			s.hooks.OnExec(c.id, FCFS, nil, m, c.opStart, s.eng.Now())
+		}
+		if s.hooks.Forward != nil {
+			s.hooks.Forward(m)
+		}
+		c.afterOp()
+	case opBuffer:
+		a.Mailbox.Push(m)
+		c.afterOp()
+	case opToDRR:
+		// Re-check: the actor may have been upgraded back to FCFS while
+		// this dispatch was in flight; its mailbox would then never be
+		// drained.
+		if a.InDRR {
+			a.Mailbox.Push(m)
+			s.wakeDRR()
+		} else {
+			s.queue.push(m)
+			s.wakeFCFS()
+		}
+		c.afterOp()
+	case opPark:
+		if a.Running() > 0 || a.InDRR || a.State != actor.Stable {
+			a.Mailbox.Push(m)
+		} else {
+			s.queue.push(m)
+			s.wakeFCFS()
+		}
+		c.afterOp()
+	case opExecFCFS:
+		c.execFCFSDone(a, m)
+	case opExecDRR:
+		c.execDRRDone(a, m)
+	case opScan:
+		c.step()
+	}
 }
 
 func (c *core) beginBusy() {
@@ -114,12 +216,8 @@ func (c *core) stepDispatch() {
 		c.endBusy()
 		return
 	}
-	c.occupy(s.cfg.DispatcherCost, func() {
-		if worker < len(s.cores) {
-			s.cores[worker].kick()
-		}
-		c.step()
-	})
+	c.opWorker = worker
+	c.occupy(s.cfg.DispatcherCost, opDispatch)
 }
 
 // stepFCFS implements ALG 1: fetch from the shared queue, dispatch to
@@ -135,94 +233,71 @@ func (c *core) stepFCFS() {
 	}
 	tax := s.hooks.FwdTax(m.WireSize)
 	a, resident := s.actors[m.Dst]
+	c.opMsg = m
 	switch {
 	case !resident || a.State == actor.Gone || a.State == actor.Clean:
 		// Host-bound traffic (or an actor that just left): forward.
-		start := s.eng.Now()
-		c.occupy(tax, func() {
-			s.Forwarded++
-			s.observeFCFS(m)
-			if s.hooks.OnExec != nil {
-				s.hooks.OnExec(c.id, FCFS, nil, m, start, s.eng.Now())
-			}
-			if s.hooks.Forward != nil {
-				s.hooks.Forward(m)
-			}
-			c.afterOp()
-		})
+		c.opStart = s.eng.Now()
+		c.occupy(tax, opForward)
 	case a.State == actor.Prepare || a.State == actor.Ready:
 		// Migrating: buffer in the runtime mailbox; phase 4 forwards it.
-		c.occupy(s.cfg.DispatchCost, func() {
-			a.Mailbox.Push(m)
-			c.afterOp()
-		})
+		c.opActor = a
+		c.occupy(s.cfg.DispatchCost, opBuffer)
 	case a.InDRR:
-		c.occupy(tax+s.cfg.DispatchCost, func() {
-			// Re-check: the actor may have been upgraded back to FCFS
-			// while this dispatch was in flight; its mailbox would then
-			// never be drained.
-			if a.InDRR {
-				a.Mailbox.Push(m)
-				s.wakeDRR()
-			} else {
-				s.queue.push(m)
-				s.wakeFCFS()
-			}
-			c.afterOp()
-		})
+		c.opActor = a
+		c.occupy(tax+s.cfg.DispatchCost, opToDRR)
 	default:
+		c.opActor = a
 		if !a.TryAcquire() {
 			// Exclusive actor busy on another core: park the message on
 			// the actor; the releasing core drains it. (A naive requeue
 			// would busy-spin the shared queue.)
-			c.occupy(s.cfg.DispatchCost, func() {
-				if a.Running() > 0 || a.InDRR || a.State != actor.Stable {
-					a.Mailbox.Push(m)
-				} else {
-					s.queue.push(m)
-					s.wakeFCFS()
-				}
-				c.afterOp()
-			})
+			c.occupy(s.cfg.DispatchCost, opPark)
 			return
 		}
 		c.execFCFS(a, m, tax)
 	}
 }
 
-// execFCFS runs one message to completion and then drains any messages
-// parked on the actor while it was exclusively held.
+// execFCFS runs one message to completion (execFCFSDone resumes when
+// the modeled service ends).
 func (c *core) execFCFS(a *actor.Actor, m actor.Msg, tax sim.Time) {
 	s := c.s
-	start := s.eng.Now()
-	service := tax + s.cfg.ExtraDispatch + s.hooks.Run(a, m)
-	c.occupy(service, func() {
-		c.Executed++
-		s.Completed++
-		s.chk.Exec()
-		sojourn := s.eng.Now() - m.ArrivedAt
-		a.Observe(sojourn, service, m.WireSize)
-		s.observeFCFS(m)
-		if s.hooks.OnExec != nil {
-			s.hooks.OnExec(c.id, FCFS, a, m, start, s.eng.Now())
+	c.opStart = s.eng.Now()
+	c.opService = tax + s.cfg.ExtraDispatch + s.hooks.Run(a, m)
+	c.opActor, c.opMsg = a, m
+	c.occupy(c.opService, opExecFCFS)
+}
+
+// execFCFSDone completes an FCFS execution, then drains any messages
+// parked on the actor while it was exclusively held.
+func (c *core) execFCFSDone(a *actor.Actor, m actor.Msg) {
+	s := c.s
+	c.Executed++
+	s.Completed++
+	s.chk.Exec()
+	sojourn := s.eng.Now() - m.ArrivedAt
+	a.Observe(sojourn, c.opService, m.WireSize)
+	s.observeFCFS(m)
+	if s.hooks.OnExec != nil {
+		s.hooks.OnExec(c.id, FCFS, a, m, c.opStart, s.eng.Now())
+	}
+	// ALG 1 lines 13–16: downgrade on tail breach. The group tail is
+	// degenerate below two samples (stats.EWMA.Ready) — without the
+	// guard the very first completion, whose "tail" is just its own
+	// sojourn, could evict an actor the population never implicated.
+	if s.cfg.TailThresh > 0 && s.fcfsStats.Ready() && s.fcfsStats.Tail() > s.cfg.TailThresh {
+		s.downgrade()
+	}
+	if a.State == actor.Stable && !a.InDRR {
+		if next, ok := a.Mailbox.Pop(); ok {
+			// Keep the lock; run the parked message immediately.
+			c.execFCFS(a, next, s.hooks.FwdTax(next.WireSize))
+			return
 		}
-		// ALG 1 lines 13–16: downgrade on tail breach. The group tail is
-		// degenerate below two samples (stats.EWMA.Ready) — without the
-		// guard the very first completion, whose "tail" is just its own
-		// sojourn, could evict an actor the population never implicated.
-		if s.cfg.TailThresh > 0 && s.fcfsStats.Ready() && s.fcfsStats.Tail() > s.cfg.TailThresh {
-			s.downgrade()
-		}
-		if a.State == actor.Stable && !a.InDRR {
-			if next, ok := a.Mailbox.Pop(); ok {
-				// Keep the lock; run the parked message immediately.
-				c.execFCFS(a, next, s.hooks.FwdTax(next.WireSize))
-				return
-			}
-		}
-		a.Release()
-		c.afterOp()
-	})
+	}
+	a.Release()
+	c.afterOp()
 }
 
 // afterOp runs the time-gated management duties and continues the loop.
@@ -276,7 +351,7 @@ func (c *core) stepDRR() {
 		est := sim.Micros(a.ServiceStats.Mean())
 		if a.Deficit <= est {
 			// Not enough credit yet; the scan itself costs time.
-			c.occupy(s.cfg.ScanCost, c.step)
+			c.occupy(s.cfg.ScanCost, opScan)
 			return
 		}
 		if !a.TryAcquire() {
@@ -284,47 +359,52 @@ func (c *core) stepDRR() {
 		}
 		m, _ := a.Mailbox.Pop()
 		a.Deficit -= est
-		start := s.eng.Now()
-		service := s.hooks.Run(a, m)
-		c.occupy(s.cfg.ScanCost+service, func() {
-			a.Release()
-			c.Executed++
-			s.Completed++
-			s.chk.Exec()
-			sojourn := s.eng.Now() - m.ArrivedAt
-			a.Observe(sojourn, service, m.WireSize)
-			if s.hooks.OnExec != nil {
-				s.hooks.OnExec(c.id, DRR, a, m, start, s.eng.Now())
-			}
-			// ALG 2 lines 10–12: upgrade on tail recovery. A truly empty
-			// FCFS group (zero samples) has no tail problem and may accept
-			// the actor back; but with exactly one sample Tail collapses to
-			// the bare mean, which is not evidence of recovery — hold off
-			// until the estimate is Ready().
-			if !s.cfg.AllDRR && s.cfg.TailThresh > 0 &&
-				(s.fcfsStats.Count() == 0 || s.fcfsStats.Ready()) &&
-				s.fcfsStats.Tail() < (1-s.cfg.Alpha)*s.cfg.TailThresh {
-				s.upgrade()
-			}
-			c.s.maybeMonitor()
-			// ALG 2 lines 18–20: mailbox overflow forces migration.
-			if s.hooks.PushToHost != nil && s.cfg.QThresh > 0 &&
-				a.Mailbox.Len() > s.cfg.QThresh && !s.migrationInFlight &&
-				a.State == actor.Stable && !a.PinNIC {
-				s.migrationInFlight = true
-				s.lastMigration = s.eng.Now()
-				s.PushMigrations++
-				a.State = actor.Prepare
-				if s.hooks.OnMigrate != nil {
-					s.hooks.OnMigrate(a, true)
-				}
-				s.hooks.PushToHost(a)
-			}
-			c.step()
-		})
+		c.opStart = s.eng.Now()
+		c.opService = s.hooks.Run(a, m)
+		c.opActor, c.opMsg = a, m
+		c.occupy(s.cfg.ScanCost+c.opService, opExecDRR)
 		return
 	}
 	// Every runnable actor had an empty mailbox (or was busy elsewhere).
 	c.idle = true
 	c.endBusy()
+}
+
+// execDRRDone completes a DRR execution.
+func (c *core) execDRRDone(a *actor.Actor, m actor.Msg) {
+	s := c.s
+	a.Release()
+	c.Executed++
+	s.Completed++
+	s.chk.Exec()
+	sojourn := s.eng.Now() - m.ArrivedAt
+	a.Observe(sojourn, c.opService, m.WireSize)
+	if s.hooks.OnExec != nil {
+		s.hooks.OnExec(c.id, DRR, a, m, c.opStart, s.eng.Now())
+	}
+	// ALG 2 lines 10–12: upgrade on tail recovery. A truly empty FCFS
+	// group (zero samples) has no tail problem and may accept the actor
+	// back; but with exactly one sample Tail collapses to the bare mean,
+	// which is not evidence of recovery — hold off until the estimate is
+	// Ready().
+	if !s.cfg.AllDRR && s.cfg.TailThresh > 0 &&
+		(s.fcfsStats.Count() == 0 || s.fcfsStats.Ready()) &&
+		s.fcfsStats.Tail() < (1-s.cfg.Alpha)*s.cfg.TailThresh {
+		s.upgrade()
+	}
+	s.maybeMonitor()
+	// ALG 2 lines 18–20: mailbox overflow forces migration.
+	if s.hooks.PushToHost != nil && s.cfg.QThresh > 0 &&
+		a.Mailbox.Len() > s.cfg.QThresh && !s.migrationInFlight &&
+		a.State == actor.Stable && !a.PinNIC {
+		s.migrationInFlight = true
+		s.lastMigration = s.eng.Now()
+		s.PushMigrations++
+		a.State = actor.Prepare
+		if s.hooks.OnMigrate != nil {
+			s.hooks.OnMigrate(a, true)
+		}
+		s.hooks.PushToHost(a)
+	}
+	c.step()
 }

@@ -201,6 +201,11 @@ type Scheduler struct {
 	migrationInFlight bool
 	lastMigration     sim.Time
 	lastMonitor       sim.Time
+
+	// tails is the scratch buffer the classification passes (downgrade,
+	// upgrade, maybeUpgrade) collect actor service tails in, reused so
+	// a pass on every FCFS completion allocates nothing.
+	tails []float64
 }
 
 // New creates a scheduler with the given configuration and hooks.
@@ -317,12 +322,13 @@ func (s *Scheduler) maybeUpgrade() {
 	if s.cfg.AllDRR || len(s.drrRunnable) == 0 {
 		return
 	}
-	tails := make([]float64, 0, len(s.actors))
+	tails := s.tails[:0]
 	for _, a := range s.actors {
 		if a.State == actor.Stable && a.ServiceStats.Count() > 0 {
 			tails = append(tails, a.ServiceStats.Tail())
 		}
 	}
+	s.tails = tails
 	if len(tails) == 0 {
 		return
 	}
@@ -501,7 +507,7 @@ func (s *Scheduler) wakeDRR() {
 // and evicting arbitrary actors would only thrash).
 func (s *Scheduler) downgrade() {
 	var victim *actor.Actor
-	tails := make([]float64, 0, len(s.actors))
+	tails := s.tails[:0]
 	// Require a few samples before classifying; rare-but-heavy actors
 	// must stay eligible, so the bar is low.
 	const minSamples = 4
@@ -520,6 +526,7 @@ func (s *Scheduler) downgrade() {
 			victim = a
 		}
 	}
+	s.tails = tails
 	if victim == nil || len(tails) == 0 {
 		return
 	}
@@ -548,12 +555,13 @@ func (s *Scheduler) upgrade() {
 	if len(s.drrRunnable) == 0 {
 		return
 	}
-	tails := make([]float64, 0, len(s.actors))
+	tails := s.tails[:0]
 	for _, a := range s.actors {
 		if a.State == actor.Stable && a.ServiceStats.Count() > 0 {
 			tails = append(tails, a.ServiceStats.Tail())
 		}
 	}
+	s.tails = tails
 	if len(tails) == 0 {
 		return
 	}

@@ -65,15 +65,17 @@ const (
 	stateStopped
 )
 
-// event is a scheduled callback. Events are pooled: after firing or
-// being discarded they return to the engine's free list and are reused
-// by later At/After/Defer calls. gen increments on every recycle so
-// stale Timer handles can detect that "their" event is gone.
+// event is a scheduled callback: fn(arg) runs at time at. Events are
+// pooled: after firing or being discarded they return to the engine's
+// free list and are reused by later At/AtArg calls. gen increments on
+// every recycle so stale Timer handles can detect that "their" event is
+// gone.
 type event struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among events at the same instant
 	gen   uint64 // incremented on recycle; guards Timer handles
-	fn    func()
+	fn    func(any)
+	arg   any
 	state uint8
 }
 
@@ -94,7 +96,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	t.e.state = stateStopped
-	t.e.fn = nil // release the closure now; the shell stays heaped
+	t.e.fn, t.e.arg = nil, nil // release the handler now; the shell stays heaped
 	t.eng.dead++
 	t.eng.maybeCompact()
 	return true
@@ -170,16 +172,20 @@ const maxFreeEvents = 4096
 // the free list (or drops it once the list is full).
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.arg = nil, nil
 	if len(e.free) >= maxFreeEvents {
 		return
 	}
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it always indicates a model bug.
-func (e *Engine) At(t Time, fn func()) Timer {
+// AtArg schedules fn(arg) to run at absolute time t. It is the engine's
+// one scheduling primitive and the request path's allocation-free one:
+// fn is meant to be a method value bound once when its model is built,
+// and arg a pointer the caller already owns (a packet, a job), so
+// scheduling stores two words and allocates nothing. Scheduling in the
+// past panics: it always indicates a model bug.
+func (e *Engine) AtArg(t Time, fn func(any), arg any) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -187,10 +193,28 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		panic("sim: nil event function")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.state = t, e.seq, fn, statePending
+	ev.at, ev.seq, ev.fn, ev.arg, ev.state = t, e.seq, fn, arg, statePending
 	e.seq++
 	e.q.push(ev)
 	return Timer{eng: e, e: ev, gen: ev.gen}
+}
+
+// AfterArg schedules fn(arg) to run d after the current time.
+func (e *Engine) AfterArg(d Time, fn func(any), arg any) Timer {
+	return e.AtArg(e.now+d, fn, arg)
+}
+
+// callThunk runs a plain func() scheduled through At. A func value is
+// pointer-shaped, so boxing it in the event's arg does not allocate.
+func callThunk(arg any) { arg.(func())() }
+
+// At schedules fn to run at absolute time t (AtArg for callers that
+// already hold a closure).
+func (e *Engine) At(t Time, fn func()) Timer {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return e.AtArg(t, callThunk, fn)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -213,11 +237,11 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = ev.at
-		fn := ev.fn
+		fn, arg := ev.fn, ev.arg
 		ev.state = stateFired
 		e.recycle(ev) // recycled before fn so chains reuse the shell
 		e.ran++
-		fn()
+		fn(arg)
 		return true
 	}
 	return false
@@ -233,11 +257,11 @@ func (e *Engine) Run() {
 			continue
 		}
 		e.now = ev.at
-		fn := ev.fn
+		fn, arg := ev.fn, ev.arg
 		ev.state = stateFired
 		e.recycle(ev)
 		e.ran++
-		fn()
+		fn(arg)
 	}
 	e.flushExecuted()
 }
@@ -259,11 +283,11 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.q.pop()
 		e.now = top.at
-		fn := top.fn
+		fn, arg := top.fn, top.arg
 		top.state = stateFired
 		e.recycle(top)
 		e.ran++
-		fn()
+		fn(arg)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -312,11 +336,11 @@ func (e *Engine) runWindow(limit Time) {
 		}
 		e.q.pop()
 		e.now = top.at
-		fn := top.fn
+		fn, arg := top.fn, top.arg
 		top.state = stateFired
 		e.recycle(top)
 		e.ran++
-		fn()
+		fn(arg)
 	}
 	e.flushExecuted()
 }

@@ -216,7 +216,7 @@ func TestStationFIFOSingleServer(t *testing.T) {
 	st := NewStation(e, 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		st.Submit(&Job{Service: 10, Done: func(_, _, f Time) { finish = append(finish, f) }})
+		st.Submit(&Job{Service: 10, Done: func(*Job) { finish = append(finish, e.Now()) }})
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -235,7 +235,7 @@ func TestStationParallelServers(t *testing.T) {
 	st := NewStation(e, 2)
 	var finish []Time
 	for i := 0; i < 4; i++ {
-		st.Submit(&Job{Service: 10, Done: func(_, _, f Time) { finish = append(finish, f) }})
+		st.Submit(&Job{Service: 10, Done: func(*Job) { finish = append(finish, e.Now()) }})
 	}
 	e.Run()
 	// Two in parallel finish at 10, next two at 20.
@@ -252,7 +252,7 @@ func TestStationQueueTimes(t *testing.T) {
 	st := NewStation(e, 1)
 	var waited Time
 	st.Submit(&Job{Service: 100})
-	st.Submit(&Job{Service: 1, Done: func(enq, start, _ Time) { waited = start - enq }})
+	st.Submit(&Job{Service: 1, Done: func(j *Job) { waited = j.Started() - j.Enqueued() }})
 	e.Run()
 	if waited != 100 {
 		t.Fatalf("second job waited %v, want 100", waited)

@@ -29,8 +29,9 @@ package sim
 // unaffected by scheduling.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -46,7 +47,19 @@ type xevent struct {
 	at  Time
 	src int32
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
+}
+
+// xeventOrder is the deterministic merge order of an inbox batch.
+func xeventOrder(x, y xevent) int {
+	if c := cmp.Compare(x.at, y.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.src, y.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // inbox buffers events injected into a partition by the others. It is
@@ -54,23 +67,41 @@ type xevent struct {
 // (heap push/pop, execution) never takes a lock. The mutex is touched
 // once per cross-partition message and once per window drain — both
 // orders of magnitude rarer than event execution.
+//
+// The inbox is double-buffered: take hands out the filled buffer and
+// starts the next round on the spare one, which the coordinator returns
+// through recycle once the batch is folded into the heap, so steady
+// traffic reuses two backing arrays instead of growing a new one every
+// round.
 type inbox struct {
-	mu  sync.Mutex
-	buf []xevent
+	mu    sync.Mutex
+	buf   []xevent
+	spare []xevent
 }
 
 // take removes and returns the buffered events.
 func (ib *inbox) take() []xevent {
 	ib.mu.Lock()
 	evs := ib.buf
-	ib.buf = nil
+	if len(evs) > 0 {
+		ib.buf, ib.spare = ib.spare[:0], nil
+	}
 	ib.mu.Unlock()
 	return evs
 }
 
+// recycle returns a drained batch as the next spare buffer, clearing
+// its handlers so the slots pin nothing. Coordinator-only, like take.
+func (ib *inbox) recycle(evs []xevent) {
+	clear(evs)
+	ib.mu.Lock()
+	ib.spare = evs[:0]
+	ib.mu.Unlock()
+}
+
 // Group is a set of engines advancing one simulation together. Build
 // with NewGroup, attach one partition's models to each Engine(i), route
-// every cross-partition interaction through Inject, then drive the
+// every cross-partition interaction through InjectArg, then drive the
 // whole group with RunUntil.
 type Group struct {
 	engs    []*Engine
@@ -307,22 +338,23 @@ func (g *Group) ExecutedEvents() uint64 {
 	return n
 }
 
-// Inject schedules fn at absolute time at on partition dst, from code
-// currently executing on partition src. Same-partition injects are
-// plain At calls. Cross-partition injects must respect the lookahead
-// contract — at ≥ src's now + lookahead — which netsim's latency floor
-// guarantees by construction; violating it means the destination may
-// already have executed past at, so it panics loudly instead of
-// corrupting the timeline.
+// InjectArg schedules fn(arg) at absolute time at on partition dst,
+// from code currently executing on partition src — the partitioned
+// analogue of Engine.AtArg, with the same bound-handler contract.
+// Same-partition injects are plain AtArg calls. Cross-partition
+// injects must respect the lookahead contract — at ≥ src's now +
+// lookahead — which netsim's latency floor guarantees by construction;
+// violating it means the destination may already have executed past
+// at, so it panics loudly instead of corrupting the timeline.
 //
 // The returned value is the (src-local) sequence stamp assigned to a
 // cross-partition event — the seq of the deterministic (at, src, seq)
 // merge order — or 0 for a same-partition inject. The tracing layer
 // annotates handoff spans with it so the merged artifact can pair the
 // two halves of every crossing.
-func (g *Group) Inject(src, dst int, at Time, fn func()) uint64 {
+func (g *Group) InjectArg(src, dst int, at Time, fn func(any), arg any) uint64 {
 	if src == dst {
-		g.engs[src].At(at, fn)
+		g.engs[src].AtArg(at, fn, arg)
 		return 0
 	}
 	if fn == nil {
@@ -333,12 +365,20 @@ func (g *Group) Inject(src, dst int, at Time, fn func()) uint64 {
 			at, src, now, g.lookahead))
 	}
 	g.xseq[src]++
-	x := xevent{at: at, src: int32(src), seq: g.xseq[src], fn: fn}
+	x := xevent{at: at, src: int32(src), seq: g.xseq[src], fn: fn, arg: arg}
 	ib := &g.inboxes[dst]
 	ib.mu.Lock()
 	ib.buf = append(ib.buf, x)
 	ib.mu.Unlock()
 	return x.seq
+}
+
+// Inject is InjectArg for callers that already hold a closure.
+func (g *Group) Inject(src, dst int, at Time, fn func()) uint64 {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return g.InjectArg(src, dst, at, callThunk, fn)
 }
 
 // drain folds the partition's inbox into its heap. It runs on the
@@ -349,26 +389,19 @@ func (g *Group) Inject(src, dst int, at Time, fn func()) uint64 {
 // batch, events are sorted by (at, src, seq) so the local seq order —
 // and therefore execution order among simultaneous events — is a pure
 // function of the traffic, not of which source goroutine appended
-// first.
+// first. The key is unique, so the sort's stability does not matter.
 func (g *Group) drain(i int) {
-	evs := g.inboxes[i].take()
+	ib := &g.inboxes[i]
+	evs := ib.take()
 	if len(evs) == 0 {
 		return
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		x, y := &evs[a], &evs[b]
-		if x.at != y.at {
-			return x.at < y.at
-		}
-		if x.src != y.src {
-			return x.src < y.src
-		}
-		return x.seq < y.seq
-	})
+	slices.SortFunc(evs, xeventOrder)
 	e := g.engs[i]
 	for k := range evs {
-		e.At(evs[k].at, evs[k].fn)
+		e.AtArg(evs[k].at, evs[k].fn, evs[k].arg)
 	}
+	ib.recycle(evs)
 }
 
 // runWindow executes partition i's share of the current window (the

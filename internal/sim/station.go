@@ -1,16 +1,30 @@
 package sim
 
 // Job is a unit of work with a known service demand at a Station.
+//
+// A job is owned by its caller and may be reused once Done has run:
+// request-path models embed one in the object they move (a packet, a
+// DMA descriptor) and point Done at a handler bound once, so a trip
+// through a station allocates nothing. A job must not sit in two
+// stations at once.
 type Job struct {
 	// Service is how long the job occupies the server.
 	Service Time
-	// Done, if non-nil, runs when the job completes service.
-	Done func(enqueued, started, finished Time)
+	// Done, if non-nil, runs when the job completes service; the
+	// finish time is the engine's Now.
+	Done func(j *Job)
 	// Payload carries arbitrary caller context through the station.
 	Payload any
 
 	enqueued Time
+	started  Time
 }
+
+// Enqueued returns when the job was last submitted.
+func (j *Job) Enqueued() Time { return j.enqueued }
+
+// Started returns when the job last entered service.
+func (j *Job) Started() Time { return j.started }
 
 // Station is a FIFO queueing station with a configurable number of
 // identical servers (a G/G/k queue). It is the building block for DMA
@@ -21,7 +35,10 @@ type Station struct {
 	eng     *Engine
 	servers int
 	busy    int
-	queue   []*Job
+	queue   FIFO[*Job]
+	// finishFn is finish bound once, the completion handler of every
+	// job this station serves.
+	finishFn func(any)
 
 	// Busy time accounting for utilization measurements.
 	busyAccum  Time
@@ -38,14 +55,16 @@ func NewStation(eng *Engine, servers int) *Station {
 	if servers <= 0 {
 		panic("sim: station needs at least one server")
 	}
-	return &Station{eng: eng, servers: servers, lastChange: eng.Now(), createdAt: eng.Now()}
+	s := &Station{eng: eng, servers: servers, lastChange: eng.Now(), createdAt: eng.Now()}
+	s.finishFn = s.finish
+	return s
 }
 
 // Servers returns the number of parallel servers.
 func (s *Station) Servers() int { return s.servers }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // InService returns the number of jobs currently being served.
 func (s *Station) InService() int { return s.busy }
@@ -63,31 +82,37 @@ func (s *Station) Submit(j *Job) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
+	s.queue.Push(j)
+	if n := s.queue.Len(); n > s.maxQueue {
+		s.maxQueue = n
 	}
 }
 
 func (s *Station) start(j *Job) {
 	s.account()
 	s.busy++
-	started := s.eng.Now()
-	s.eng.After(j.Service, func() {
-		s.account()
-		s.busy--
-		s.completed++
-		if j.Done != nil {
-			j.Done(j.enqueued, started, s.eng.Now())
-		}
-		s.dispatch()
-	})
+	j.started = s.eng.Now()
+	s.eng.AfterArg(j.Service, s.finishFn, j)
+}
+
+// finish completes the job in arg and starts waiting work.
+func (s *Station) finish(arg any) {
+	j := arg.(*Job)
+	s.account()
+	s.busy--
+	s.completed++
+	if j.Done != nil {
+		j.Done(j)
+	}
+	s.dispatch()
 }
 
 func (s *Station) dispatch() {
-	for s.busy < s.servers && len(s.queue) > 0 {
-		j := s.queue[0]
-		s.queue = s.queue[1:]
+	for s.busy < s.servers {
+		j, ok := s.queue.Pop()
+		if !ok {
+			return
+		}
 		s.start(j)
 	}
 }

@@ -78,9 +78,7 @@ func (b *Batcher) Add(r Request) {
 		b.cl.Send(r)
 		return
 	}
-	node := r.Node
-	dst := r.Dst
-	b.cl.send(r, func(m actor.Msg, size int) { b.park(node, dst, m, size) })
+	b.cl.send(r, b)
 }
 
 func (b *Batcher) park(node string, dst actor.ID, m actor.Msg, size int) {

@@ -46,6 +46,11 @@ type Client struct {
 	// Rejected counts requests refused by the QoS admission hook before
 	// reaching the wire (they are not counted in Sent).
 	Rejected uint64
+
+	// retryFn and giveUpFn are the request timers' handlers, bound once
+	// (see request).
+	retryFn  func(any)
+	giveUpFn func(any)
 }
 
 // Offered returns every request the workload attempted: admitted sends
@@ -79,6 +84,8 @@ func NewClientAt(c *core.Cluster, name string, gbps float64, part int) *Client {
 		eng = c.Group.Engine(part)
 	}
 	cl := &Client{Name: name, eng: eng, net: c.Net, part: part, Lat: stats.NewSample()}
+	cl.retryFn = cl.retry
+	cl.giveUpFn = cl.giveUp
 	c.Net.AttachOn(name, gbps, netsim.HandlerFunc(cl.deliver), part)
 	return cl
 }
@@ -133,6 +140,10 @@ type Request struct {
 	// Zero values reproduce the legacy untagged behavior.
 	Tenant uint16
 	Class  uint8
+
+	// loop, when set, is the closed loop that issued the request: the
+	// response issues its successor (see ClosedLoopVia).
+	loop *closedLoop
 }
 
 // MaxUncappedTimeout bounds exponential backoff growth when a Request
@@ -149,12 +160,29 @@ const MaxUncappedTimeout = 10 * sim.Second
 // retry) are counted once.
 func (cl *Client) Send(r Request) { cl.send(r, nil) }
 
-// send is Send with a pluggable first transmission: when stage is
-// non-nil the initial attempt is handed to it (a Batcher parks it in a
-// message train) instead of going on the wire; timeout-driven retries
-// always re-send as plain packets, so retry latency is never inflated
-// by a second batching window.
-func (cl *Client) send(r Request, stage func(m actor.Msg, size int)) {
+// request is one admitted request's client-side state: every attempt
+// carries replyFn (its reply method, bound once) as the message's Reply,
+// and its timers carry the request itself to the client's bound
+// retry/giveUp handlers, so retries and replies schedule no closure.
+type request struct {
+	cl *Client
+	r  Request
+	// batch, when set, takes the first attempt into a message train.
+	batch   *Batcher
+	size    int
+	sentAt  sim.Time
+	timeout sim.Time
+	attempt int
+	done    bool
+	replyFn func(resp actor.Msg)
+}
+
+// send is Send with a pluggable first transmission: when batch is
+// non-nil the initial attempt is parked in one of its message trains
+// instead of going on the wire; timeout-driven retries always re-send
+// as plain packets, so retry latency is never inflated by a second
+// batching window.
+func (cl *Client) send(r Request, batch *Batcher) {
 	// Admission control happens once, at initial send time; timeout
 	// retries of an admitted request are recovery traffic and are not
 	// re-charged.
@@ -173,78 +201,92 @@ func (cl *Client) send(r Request, stage func(m actor.Msg, size int)) {
 		size = 64
 	}
 	cl.Sent++
-	sentAt := cl.eng.Now()
-	done := false
-	attempt := 0
-	timeout := r.Timeout
-	var fire func()
-	reply := func(resp actor.Msg) {
-		if done {
-			return // duplicate response after a retry
-		}
-		done = true
-		cl.Received++
-		us := (cl.eng.Now() - sentAt).Micros()
-		cl.Lat.Observe(us)
-		if cl.qos != nil {
-			cl.qos.Latency(r.Tenant, r.Class, us)
-		}
-		if r.OnResp != nil {
-			r.OnResp(resp)
-		}
+	rq := &request{cl: cl, r: r, batch: batch, size: size, sentAt: cl.eng.Now(), timeout: r.Timeout}
+	rq.replyFn = rq.reply
+	rq.fire()
+}
+
+// reply completes the request on its first response.
+func (rq *request) reply(resp actor.Msg) {
+	if rq.done {
+		return // duplicate response after a retry
 	}
-	fire = func() {
-		m := actor.Msg{
-			Kind:   r.Kind,
-			Dst:    r.Dst,
-			Data:   r.Data,
-			FlowID: r.FlowID,
-			Origin: cl.Name,
-			Reply:  reply,
-			Tenant: r.Tenant,
-			Class:  r.Class,
+	rq.done = true
+	cl, r := rq.cl, &rq.r
+	cl.Received++
+	us := (cl.eng.Now() - rq.sentAt).Micros()
+	cl.Lat.Observe(us)
+	if cl.qos != nil {
+		cl.qos.Latency(r.Tenant, r.Class, us)
+	}
+	if r.OnResp != nil {
+		r.OnResp(resp)
+	}
+	if r.loop != nil {
+		r.loop.issue()
+	}
+}
+
+// fire transmits one attempt and arms its timeout.
+func (rq *request) fire() {
+	cl, r := rq.cl, &rq.r
+	m := actor.Msg{
+		Kind:   r.Kind,
+		Dst:    r.Dst,
+		Data:   r.Data,
+		FlowID: r.FlowID,
+		Origin: cl.Name,
+		Reply:  rq.replyFn,
+		Tenant: r.Tenant,
+		Class:  r.Class,
+	}
+	if rq.attempt == 0 && rq.batch != nil {
+		rq.batch.park(r.Node, r.Dst, m, rq.size)
+	} else {
+		cl.emit(r.Node, m, rq.size)
+	}
+	if r.Timeout <= 0 {
+		return
+	}
+	wait := rq.timeout
+	if r.Backoff > 1 {
+		ceil := r.MaxTimeout
+		if ceil <= 0 {
+			ceil = MaxUncappedTimeout
 		}
-		if attempt == 0 && stage != nil {
-			stage(m, size)
+		// Compare in float space: converting an out-of-range float to
+		// sim.Time is implementation-defined, so clamp before the
+		// conversion, not after.
+		if next := float64(rq.timeout) * r.Backoff; next < float64(ceil) {
+			rq.timeout = sim.Time(next)
 		} else {
-			cl.emit(r.Node, m, size)
-		}
-		if r.Timeout <= 0 {
-			return
-		}
-		wait := timeout
-		if r.Backoff > 1 {
-			ceil := r.MaxTimeout
-			if ceil <= 0 {
-				ceil = MaxUncappedTimeout
-			}
-			// Compare in float space: converting an out-of-range float
-			// to sim.Time is implementation-defined, so clamp before
-			// the conversion, not after.
-			if next := float64(timeout) * r.Backoff; next < float64(ceil) {
-				timeout = sim.Time(next)
-			} else {
-				timeout = ceil
-			}
-		}
-		if attempt < r.Retries {
-			attempt++
-			cl.eng.After(wait, func() {
-				if !done {
-					cl.Retried++
-					fire()
-				}
-			})
-		} else if r.OnGiveUp != nil {
-			cl.eng.After(wait, func() {
-				if !done {
-					done = true // late responses are ignored once given up
-					r.OnGiveUp()
-				}
-			})
+			rq.timeout = ceil
 		}
 	}
-	fire()
+	if rq.attempt < r.Retries {
+		rq.attempt++
+		cl.eng.AfterArg(wait, cl.retryFn, rq)
+	} else if r.OnGiveUp != nil {
+		cl.eng.AfterArg(wait, cl.giveUpFn, rq)
+	}
+}
+
+// retry re-sends a request whose attempt timed out unanswered.
+func (cl *Client) retry(arg any) {
+	rq := arg.(*request)
+	if !rq.done {
+		cl.Retried++
+		rq.fire()
+	}
+}
+
+// giveUp abandons a request whose final attempt timed out unanswered.
+func (cl *Client) giveUp(arg any) {
+	rq := arg.(*request)
+	if !rq.done {
+		rq.done = true // late responses are ignored once given up
+		rq.r.OnGiveUp()
+	}
 }
 
 // emit puts one prepared message on the wire as its own packet.
@@ -293,28 +335,36 @@ func (cl *Client) ClosedLoop(depth int, dur sim.Time, gen func(i uint64) Request
 
 // ClosedLoopVia is ClosedLoop with a pluggable send path — pass a
 // Batcher's Add to coalesce same-shard requests into message trains.
+// Each response (after the request's own OnResp) issues the next
+// request; send must hand its Request to this client unchanged in that
+// respect (Send and Batcher.Add do).
 func (cl *Client) ClosedLoopVia(depth int, dur sim.Time, gen func(i uint64) Request, send func(Request)) {
-	deadline := cl.eng.Now() + dur
-	var i uint64
-	var issue func()
-	issue = func() {
-		if cl.eng.Now() >= deadline {
-			return
-		}
-		r := gen(i)
-		i++
-		prev := r.OnResp
-		r.OnResp = func(resp actor.Msg) {
-			if prev != nil {
-				prev(resp)
-			}
-			issue()
-		}
-		send(r)
-	}
+	l := &closedLoop{cl: cl, deadline: cl.eng.Now() + dur, gen: gen, send: send}
+	issue := l.issue
 	for k := 0; k < depth; k++ {
 		cl.eng.Defer(issue)
 	}
+}
+
+// closedLoop is one ClosedLoopVia driver: every request it issues
+// carries it, so the request's reply issues the successor.
+type closedLoop struct {
+	cl       *Client
+	deadline sim.Time
+	i        uint64
+	gen      func(i uint64) Request
+	send     func(Request)
+}
+
+// issue sends the loop's next request unless the deadline has passed.
+func (l *closedLoop) issue() {
+	if l.cl.eng.Now() >= l.deadline {
+		return
+	}
+	r := l.gen(l.i)
+	l.i++
+	r.loop = l
+	l.send(r)
 }
 
 // Zipf generates Zipf-distributed values in [0, n) with the given skew
