@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test check bench fmt race vet trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke pdes-bench obs-smoke obs-gate obs-baseline qos-smoke
+.PHONY: build test check bench fmt race vet trace-smoke fault-smoke scale-smoke replay-smoke pdes-bench obs-smoke obs-gate obs-baseline
 
 build:
 	$(GO) build ./...
@@ -59,59 +59,38 @@ fault-smoke:
 		{ echo "fault-smoke: no fault span in trace" >&2; exit 1; }
 	@echo "fault-smoke: fault spans present"
 
-# fault-pdes-smoke: golden-replay the faulted partitioned mesh along
-# the PDES axis — every fault arm (barrier arms at window boundaries,
-# local arms on owning engines) at 2 and 4 partitions, serial window
-# merge vs parallel window execution; the per-partition invariant
-# fingerprints must match byte-for-byte.
-fault-pdes-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 -parallel 2 \
-		faults-pdes
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 4 -parallel 4 \
-		faults-pdes
-	@echo "fault-pdes-smoke: ok"
-
-# migrate-pdes-smoke: golden-replay the migrating partitioned mesh —
-# forced push+pull migrations whose node-local phases run on the owning
-# partition engine and whose cluster-visible commits defer to window
-# boundaries, with crash / NIC-down arms landing between the migration
-# phases — at 2 and 4 partitions; the per-partition invariant
-# fingerprints (including the migration conservation ledger) must match
-# byte-for-byte between worker counts.
-migrate-pdes-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 -parallel 2 \
-		migrate-pdes
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 4 -parallel 4 \
-		migrate-pdes
-	@echo "migrate-pdes-smoke: ok"
-
 # scale-smoke: run the sharded scale-out sweeps end to end (router,
 # multi-group deployment, client batching) in quick mode.
 scale-smoke:
 	$(GO) run ./cmd/ipipe-bench -quick scale-shards scale-batch >/dev/null
 	@echo "scale-smoke: ok"
 
-# invariant-smoke: audit runtime invariants on a live simulation, then
-# golden-replay a registry subset covering faults, queue-model ablation,
-# sharded scale-out, and a multi-cluster sweep (serial vs parallel
-# fingerprints must match byte-for-byte). The full registry runs with
-# `ipipe-bench -quick -check all` (~35s).
-invariant-smoke:
-	$(GO) run ./cmd/ipipe-sim -app rkv -nic cn2350 -duration 5ms -check >/dev/null
-	$(GO) run ./cmd/ipipe-bench -quick -check \
-		faults-availability fig17 ablate-queue scale-shards
-	@echo "invariant-smoke: ok"
+# replay-smoke: audit runtime invariants on a live simulation, then
+# golden-replay one table of (flags, experiments) rows. Each row runs
+# its experiments at two seeds as a serial reference plus variants — a
+# parallel sweep at -parallel workers and, with -pdes N, window-parallel
+# runs at each -pdes-workers count on N partitions — and every
+# variant's invariant fingerprints must match the reference's
+# byte-for-byte. The rows cover faults, queue-model ablation, sharded
+# scale-out and multi-cluster sweeps; the partitioned scale sweep,
+# faulted mesh (barrier and partition-local arms) and migrating mesh
+# (window-boundary commits) at 2 and 4 partitions, with classic
+# controls; and the multi-tenant QoS family (lane conservation, strict
+# priority, admission ledger) at its default 4 partitions. The full
+# registry runs with `ipipe-bench -quick -check all`.
+REPLAY_SMOKE = \
+	"faults-availability fig17 ablate-queue scale-shards" \
+	"-pdes 2 -pdes-workers 2 scale-nodes fig17 scale-shards faults-pdes migrate-pdes" \
+	"-pdes 4 -pdes-workers 4 scale-nodes fig17 faults-pdes migrate-pdes" \
+	"-qos -pdes 4 -pdes-workers 2,4 -parallel 4"
 
-# pdes-smoke: golden-replay a registry subset along the PDES axis — the
-# partitioned scale sweep plus classic controls, at 2 and 4 partitions,
-# serial window merge vs parallel window execution; the per-partition
-# invariant fingerprints must match byte-for-byte.
-pdes-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 2 -parallel 2 \
-		scale-nodes fig17 scale-shards
-	$(GO) run ./cmd/ipipe-bench -quick -check -pdes 4 -parallel 4 \
-		scale-nodes fig17
-	@echo "pdes-smoke: ok"
+replay-smoke:
+	$(GO) run ./cmd/ipipe-sim -app rkv -nic cn2350 -duration 5ms -check >/dev/null
+	@for row in $(REPLAY_SMOKE); do \
+		echo "replay-smoke: $$row"; \
+		$(GO) run ./cmd/ipipe-bench -quick -check $$row || exit 1; \
+	done
+	@echo "replay-smoke: ok"
 
 # pdes-bench: regenerate the wall-clock speedup matrix artifact
 # (fingerprint-certified; speedup > 1 needs as many cores as workers).
@@ -133,16 +112,6 @@ obs-smoke:
 		{ echo "obs-smoke: no handoff spans in partitioned trace" >&2; exit 1; }
 	@echo "obs-smoke: ok"
 
-# qos-smoke: golden-replay the multi-tenant QoS experiment family along
-# both determinism axes — serial vs parallel sweep on the classic
-# clusters, and PDES at 1-vs-2 / 1-vs-4 window workers on the
-# partitioned lane mesh — with the invariant checker (lane conservation,
-# strict priority, control-shed violations, admission ledger) attached
-# to every cluster.
-qos-smoke:
-	$(GO) run ./cmd/ipipe-bench -quick -check -qos
-	@echo "qos-smoke: ok"
-
 # obs-gate: the perf-trajectory gate — rebuild the observed-run summary
 # and compare it against the committed BENCH_obs.json baseline.
 # Deterministic fields (ops, quantiles, events, counters, watermarks,
@@ -161,7 +130,7 @@ obs-baseline:
 
 # check: the CI step — formatting, static analysis, the race suite, and
 # the observability and invariant smoke tests.
-check: fmt vet race trace-smoke fault-smoke fault-pdes-smoke migrate-pdes-smoke scale-smoke invariant-smoke pdes-smoke qos-smoke obs-smoke obs-gate
+check: fmt vet race trace-smoke fault-smoke scale-smoke replay-smoke obs-smoke obs-gate
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/ ./internal/bench/

@@ -12,21 +12,19 @@
 // -memprofile write pprof profiles of the run, in every mode.
 //
 // -check replaces the normal run with a golden-fingerprint replay: each
-// experiment runs at two seeds, serially and with a parallel sweep,
-// with the runtime invariant checker attached to every cluster; the
-// invariant fingerprints must match byte-for-byte and no invariant may
-// be violated. Exits nonzero otherwise.
+// experiment runs at two seeds with the runtime invariant checker
+// attached to every cluster, once as a serial reference and once per
+// variant — a parallel sweep at -parallel workers and, with -pdes, one
+// window-parallel run per -pdes-workers count. Every variant's invariant
+// fingerprints must match the reference's byte-for-byte and no
+// invariant may be violated. Exits nonzero otherwise.
 //
 // -qos selects the qos-* experiment family (multi-tenant lanes,
-// admission, SLO controller). Combined with -check it replays the
-// family along both determinism axes: serial vs parallel sweep, and
-// PDES at 1 vs 2 and 1 vs 4 window workers.
+// admission, SLO controller).
 //
 // -pdes N shards partition-aware experiments (the scale-nodes family)
 // across N engine partitions, executed by -parallel window workers.
-// Combined with -check, the replay runs along the PDES axis instead:
-// serial window merge vs parallel window execution, fingerprints
-// byte-compared. -pdes-bench FILE writes the wall-clock speedup matrix
+// -pdes-bench FILE writes the wall-clock speedup matrix
 // (per size × worker count, with fingerprint certification and the
 // machine's core count) as a JSON artifact.
 //
@@ -78,12 +76,12 @@ func run(args []string) (code int) {
 	traceFile := fs.String("trace", "", "write a Chrome trace of every simulated cluster to `file` (forces -parallel 1)")
 	metricsFile := fs.String("metrics", "", "write NDJSON metric snapshots to `file` (forces -parallel 1)")
 	metricsInterval := fs.Duration("metrics-interval", 100*time.Microsecond, "metric snapshot interval (virtual time)")
-	check := fs.Bool("check", false, "golden replay: run with invariant checking at two seeds × serial/parallel and compare fingerprints")
-	qosAxis := fs.Bool("qos", false, "run the qos-* experiment family; with -check, replay it along both the sweep axis and the PDES axis at 1/2/4 workers")
-	pdes := fs.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults); with -check, replays along the PDES axis")
+	check := fs.Bool("check", false, "golden replay: run with invariant checking at two seeds, serial reference vs parallel variants, and compare fingerprints")
+	qosAxis := fs.Bool("qos", false, "run the qos-* experiment family")
+	pdes := fs.Int("pdes", 0, "engine partition count for partition-aware experiments (0 = their defaults); with -check, adds one replay variant per -pdes-workers count")
 	pdesBench := fs.String("pdes-bench", "", "write the PDES speedup matrix (JSON) to `file` and exit ('-' for stdout)")
 	pdesNodes := fs.String("pdes-nodes", "", "comma-separated mesh sizes for -pdes-bench (default: the scale-nodes sweep sizes)")
-	pdesWorkers := fs.String("pdes-workers", "2,4,8", "comma-separated window worker counts for -pdes-bench")
+	pdesWorkers := fs.String("pdes-workers", "2,4,8", "comma-separated window worker counts for -pdes-bench and -check -pdes")
 	reportFile := fs.String("report", "", "write the observed-run summary artifact (JSON) to `file` ('-' for stdout)")
 	baselineFile := fs.String("baseline", "", "compare the observed-run summary against the artifact in `file`; exit nonzero on regression")
 	if err := fs.Parse(args); err != nil {
@@ -103,17 +101,17 @@ func run(args []string) (code int) {
 		}
 	}()
 
+	windowWorkers, err := intList(*pdesWorkers)
+	if err != nil {
+		return fail(fmt.Errorf("-pdes-workers: %w", err))
+	}
 	if *pdesBench != "" {
 		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
 		sizes, err := intList(*pdesNodes)
 		if err != nil {
 			return fail(fmt.Errorf("-pdes-nodes: %w", err))
 		}
-		workers, err := intList(*pdesWorkers)
-		if err != nil {
-			return fail(fmt.Errorf("-pdes-workers: %w", err))
-		}
-		rep := bench.PDESBench(opts, sizes, workers)
+		rep := bench.PDESBench(opts, sizes, windowWorkers)
 		err = writeTo(*pdesBench, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
@@ -188,17 +186,18 @@ func run(args []string) (code int) {
 		if *traceFile != "" || *metricsFile != "" {
 			return fail(fmt.Errorf("-check cannot be combined with -trace/-metrics (both claim the cluster observer hook)"))
 		}
-		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
-		var rep *bench.ReplayReport
-		var err error
-		switch {
-		case *qosAxis:
-			rep, err = bench.GoldenReplayQoS(opts, []int{2, 4})
-		case *pdes > 0:
-			rep, err = bench.GoldenReplayPDES(ids, opts, *parallel)
-		default:
-			rep, err = bench.GoldenReplay(ids, opts, *parallel)
+		sweep := *parallel
+		if sweep < 2 {
+			sweep = 4 // a serial sweep would only replay the reference
 		}
+		variants := []bench.ReplayVariant{{Parallel: sweep}}
+		if *pdes > 0 {
+			for _, w := range windowWorkers {
+				variants = append(variants, bench.ReplayVariant{PDESWorkers: w})
+			}
+		}
+		opts := bench.Options{Quick: *quick, Seed: *seed, PDESParts: *pdes}
+		rep, err := bench.GoldenReplay(ids, opts, variants)
 		if err != nil {
 			return fail(err)
 		}

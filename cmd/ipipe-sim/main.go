@@ -322,7 +322,7 @@ func main() {
 	if collector != nil {
 		collector.Start()
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if collector != nil {
 		collector.Snapshot() // end-state record
 	}

@@ -23,7 +23,7 @@ func Example() {
 	}
 	client := ipipe.NewClient(cl, "cli", 10)
 	client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 512})
-	cl.Eng.Run()
+	cl.Run()
 	fmt.Printf("answered=%d host-cores=%.1f\n", client.Received, node.HostCoresUsed())
 	// Output:
 	// answered=1 host-cores=0.0
@@ -61,7 +61,7 @@ func ExampleRKVSpec_Deploy() {
 			})
 		},
 	})
-	cl.Eng.Run()
+	cl.Run()
 	// Output:
 	// value=teal replicas-committed=1
 }

@@ -66,7 +66,7 @@ func main() {
 		cl.Eng.At(at, func() { send(i, 16) })
 		i++
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("batches sent: %d, acknowledged: %d\n", client.Sent, client.Received)
 	fmt.Println("consolidated top-5 (spam/noise filtered):")

@@ -68,7 +68,7 @@ func main() {
 			client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 256})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("cross-actor read: data=%q err=%v (region guard, §3.4)\n", stolen, stealErr)
 	fmt.Printf("isolation violations recorded against tenant-b: %d\n", node.Violations.Count(2))

@@ -70,7 +70,7 @@ func main() {
 			},
 		}
 	}, batcher.Add)
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("operations: %d (ok=%d notFound=%d)\n", client.Received, ok, notFound)
 	fmt.Printf("latency: p50=%.2fus p99=%.2fus\n",

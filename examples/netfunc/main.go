@@ -76,7 +76,7 @@ func main() {
 			}
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("firewall: %d allowed, %d denied (1KB packets, 8K+2 rules)\n", allowed, denied)
 	fmt.Printf("ipsec: %d packets sealed with AES-256-CTR + HMAC-SHA1\n", sealed)

@@ -41,7 +41,7 @@ func main() {
 			client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 512, FlowID: uint64(i)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("sent=%d received=%d\n", client.Sent, client.Received)
 	fmt.Printf("latency: p50=%.2fus p99=%.2fus\n",

@@ -58,7 +58,7 @@ func main() {
 			},
 		}
 	})
-	cl.Eng.Run()
+	cl.Run()
 
 	fmt.Printf("transactions: %d committed, %d aborted (%.1f%% abort rate under contention)\n",
 		committed, aborted, 100*float64(aborted)/float64(committed+aborted))

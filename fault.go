@@ -66,7 +66,7 @@ func FaultStall(node, unit string, at, dur Duration) Fault {
 }
 
 // InstallFaults validates a schedule and schedules every fault on the
-// cluster's engine; call before Eng.Run. Specs install their Faults
+// cluster's engine; call before Cluster.Run. Specs install their Faults
 // field through the same path.
 func InstallFaults(c *Cluster, s FaultSchedule) (*FaultInjector, error) {
 	return fault.Install(c, s)

@@ -77,7 +77,7 @@ func TestTransactionsCommitOnNIC(t *testing.T) {
 		i := i
 		cl.Eng.At(at, func() { client.Send(txnReq(i, true)) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 40 {
 		t.Fatalf("client got %d of 40 responses", client.Received)
 	}
@@ -126,7 +126,7 @@ func TestTransactionsReadYourWrites(t *testing.T) {
 			})
 		},
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if string(got["k"]) != "hello" {
 		t.Fatalf("read-your-writes: got %q", got["k"])
 	}
@@ -150,7 +150,7 @@ func TestContendedTransactionsAbort(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 100 {
 		t.Fatalf("responses %d of 100", client.Received)
 	}
@@ -186,7 +186,7 @@ func TestCoordinatorLogCheckpoints(t *testing.T) {
 		})
 	}
 	issue(0)
-	cl.Eng.Run()
+	cl.Run()
 	if done != n {
 		t.Fatalf("completed %d of %d", done, n)
 	}
@@ -201,7 +201,7 @@ func TestTransactionsOnBaseline(t *testing.T) {
 		i := i
 		cl.Eng.At(sim.Time(i)*100*sim.Microsecond, func() { client.Send(txnReq(i, true)) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if coord.Committed != 20 {
 		t.Fatalf("baseline committed %d of 20", coord.Committed)
 	}
@@ -216,7 +216,7 @@ func TestDTLatencyAdvantage(t *testing.T) {
 			i := i
 			cl.Eng.At(sim.Time(i)*200*sim.Microsecond, func() { client.Send(txnReq(i, true)) })
 		}
-		cl.Eng.Run()
+		cl.Run()
 		if client.Received != 50 {
 			t.Fatalf("offload=%v: %d of 50", offload, client.Received)
 		}

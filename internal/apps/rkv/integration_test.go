@@ -60,7 +60,7 @@ func TestWriteThenRead(t *testing.T) {
 			got = resp.Data
 		})
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(got) == 0 || rkv.StatusOf(got) != rkv.StatusOK || string(got[1:]) != "world" {
 		t.Fatalf("get returned %q", got)
 	}
@@ -75,7 +75,7 @@ func TestWritesReplicateToFollowers(t *testing.T) {
 			put(client, leader, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i), nil)
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	for ri, r := range d.Replicas {
 		if r.Consensus.LogLen() != 30 {
 			t.Fatalf("replica %d committed %d of 30", ri, r.Consensus.LogLen())
@@ -101,7 +101,7 @@ func TestDeleteReturnsNotFound(t *testing.T) {
 			},
 		})
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if status != rkv.StatusNotFound {
 		t.Fatalf("get after delete = %d, want NotFound", status)
 	}
@@ -124,7 +124,7 @@ func TestMinorCompactionAndSSTableRead(t *testing.T) {
 		})
 	}
 	issue(0)
-	cl.Eng.Run()
+	cl.Run()
 	if done != n {
 		t.Fatalf("completed %d of %d writes", done, n)
 	}
@@ -139,7 +139,7 @@ func TestMinorCompactionAndSSTableRead(t *testing.T) {
 	// it must come back from the SSTable read actor.
 	var got []byte
 	get(client, leader, "key-000", func(resp actor.Msg) { got = resp.Data })
-	cl.Eng.Run()
+	cl.Run()
 	if len(got) == 0 || rkv.StatusOf(got) != rkv.StatusOK || string(got[1:]) != "value-0000" {
 		t.Fatalf("SSTable read returned %q", got)
 	}
@@ -174,7 +174,7 @@ func TestZipfWorkloadMixedOps(t *testing.T) {
 			},
 		}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != client.Sent {
 		t.Fatalf("responses %d of %d", client.Received, client.Sent)
 	}
@@ -205,7 +205,7 @@ func TestLeaderElection(t *testing.T) {
 			Data: []byte{0}, Size: 64,
 		})
 	})
-	cl.Eng.RunUntil(4 * sim.Millisecond)
+	cl.RunUntil(4 * sim.Millisecond)
 	if !d.Replicas[1].Consensus.IsLeader {
 		t.Fatal("replica 1 did not become leader")
 	}
@@ -217,7 +217,7 @@ func TestLeaderElection(t *testing.T) {
 		Data: rkv.PutReq([]byte("post"), []byte("election")), Size: 256,
 		OnResp: func(resp actor.Msg) { status = rkv.StatusOf(resp.Data) },
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if status != rkv.StatusOK {
 		t.Fatalf("write under new leader: status %d", status)
 	}
@@ -236,7 +236,7 @@ func TestFollowerRedirectsWrites(t *testing.T) {
 		Data: rkv.PutReq([]byte("k"), []byte("v")), Size: 128,
 		OnResp: func(resp actor.Msg) { status = rkv.StatusOf(resp.Data) },
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if status != rkv.StatusRedirect {
 		t.Fatalf("follower write status %d, want redirect", status)
 	}
@@ -249,7 +249,7 @@ func TestRKVOnBaseline(t *testing.T) {
 	put(client, leader, "base", "line", func(actor.Msg) {
 		get(client, leader, "base", func(resp actor.Msg) { got = resp.Data })
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(got) == 0 || rkv.StatusOf(got) != rkv.StatusOK || string(got[1:]) != "line" {
 		t.Fatalf("baseline RKV broken: %q", got)
 	}

@@ -108,7 +108,7 @@ func ablateQueue(opts Options) *Result {
 		client.OpenLoop(capacity*load, window, func(i uint64) workload.Request {
 			return workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: i % uint64(flows)}
 		})
-		cl.Eng.Run()
+		cl.Run()
 		return client.Lat.Percentile(50), client.Lat.Percentile(99), client.Received
 	}
 	type point struct {
@@ -209,7 +209,7 @@ func ablateMigration(opts Options) *Result {
 				return workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: i}
 			})
 		})
-		cl.Eng.Run()
+		cl.Run()
 		name := "static-NIC (Floem-style)"
 		migs := uint64(0)
 		if dynamic {

@@ -112,7 +112,7 @@ func runRTA(seed uint64, linkGbps float64, offload bool, size, depth int, window
 			Data: rta.EncodeTuples(tuples), Size: size, FlowID: i,
 		}
 	})
-	cl.Eng.RunUntil(window)
+	cl.RunUntil(window)
 	return collect(cl, client, window, map[string]string{"RTA Worker": "w0"})
 }
 
@@ -155,7 +155,7 @@ func runDT(seed uint64, linkGbps float64, offload bool, size, depth int, window 
 			Data: dt.EncodeTxn(txn), Size: size, FlowID: i,
 		}
 	})
-	cl.Eng.RunUntil(window)
+	cl.RunUntil(window)
 	return collect(cl, client, window, map[string]string{
 		"DT Coord.": "coord", "DT Parti.": "part1",
 	})
@@ -197,7 +197,7 @@ func runRKV(seed uint64, linkGbps float64, offload bool, size, depth int, window
 			Data: data, Size: size, FlowID: i,
 		}
 	})
-	cl.Eng.RunUntil(window)
+	cl.RunUntil(window)
 	return collect(cl, client, window, map[string]string{
 		"RKV Leader": "kv0", "RKV Follower": "kv1",
 	})
@@ -397,7 +397,7 @@ func fig17(opts Options) *Result {
 				Data: data, Size: 512, FlowID: i,
 			}
 		})
-		cl.Eng.RunUntil(window + 2*sim.Millisecond)
+		cl.RunUntil(window + 2*sim.Millisecond)
 		return cl.Node("kv0").HostCoresUsed(), cl.Node("kv1").HostCoresUsed(), client.Received
 	}
 	// Reference max rate: what 90% load means (from line rate at 512B,

@@ -224,7 +224,7 @@ func faultsAvailability(opts Options) *Result {
 				p.issue(i, data, w, int(i)%len(p.nodes))
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		return outcome{probe: p, elections: d.Elections, injected: d.Injector.Injected(), logLines: len(d.Injector.Log())}
 	})
 
@@ -301,7 +301,7 @@ func faultsRecovery(opts Options) *Result {
 				}
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		o.probe, o.elections = p, d.Elections
 		return o
 	})
@@ -382,7 +382,7 @@ func faultsPartition(opts Options) *Result {
 				p.issue(i, data, isW, int(i)%len(p.nodes))
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		o.probe = p
 		return o
 	})
@@ -463,7 +463,7 @@ func faultsDT(opts Options) *Result {
 				})
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		o := outcome{
 			sent:          sent,
 			committed:     d.Coord.Committed,

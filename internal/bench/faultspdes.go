@@ -20,7 +20,7 @@ import (
 // arms (NIC-down, overload, accelerator stall) on their owning engines —
 // while retrying clients ride out the windows. Every column is
 // deterministic and byte-identical at any window worker count, which is
-// what `make fault-pdes-smoke` replays along the PDES axis.
+// what the `-pdes` rows of `make replay-smoke` replay along the PDES axis.
 
 func init() {
 	register("faults-pdes", "Every fault arm on a partitioned (PDES) echo mesh: barrier arms at window boundaries, local arms on owning engines", faultsPDES)
@@ -147,9 +147,7 @@ func faultsPDES(opts Options) *Result {
 			lat.Merge(c.Lat)
 		}
 		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		if cl.Group != nil {
-			o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		}
+		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 		return o
 	})
 	o := outs[0]
@@ -239,9 +237,7 @@ func qosStormPDES(opts Options) *Result {
 			o.rejected[t] = rt.RejectedTo(t)
 		}
 		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		if cl.Group != nil {
-			o.rounds = cl.Group.Rounds()
-		}
+		o.rounds = cl.Group.Rounds()
 		return o
 	})
 	o := outs[0]

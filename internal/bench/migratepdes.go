@@ -21,8 +21,8 @@ import (
 // rewrite, host/NIC registration, buffered re-dispatch — defers to the
 // next conservative-window boundary (sim.Group.DeferBarrier), so the
 // copy-on-write actor table stays single-writer and every column is
-// byte-identical at any worker count. `make migrate-pdes-smoke` replays
-// this along the PDES axis.
+// byte-identical at any worker count. The `-pdes` rows of
+// `make replay-smoke` replay this along the PDES axis.
 
 func init() {
 	register("migrate-pdes", "Forced push+pull migrations on a partitioned (PDES) mesh with fault arms landing between the migration phases", migratePDES)
@@ -151,9 +151,7 @@ func migratePDES(opts Options) *Result {
 			}
 		}
 		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		if cl.Group != nil {
-			o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		}
+		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
 		return o
 	})
 	o := outs[0]

@@ -86,7 +86,7 @@ func fig18(opts Options) *Result {
 	}
 	fill(0)
 	fill(1)
-	cl.Eng.Run()
+	cl.Run()
 	base := cl.Eng.Now()
 
 	// Warm all actors under ≈90% load for the statistics and buffered-
@@ -124,7 +124,7 @@ func fig18(opts Options) *Result {
 		tgt := tgt
 		cl.Eng.At(base+warm+sim.Time(i)*2*sim.Millisecond, func() { tgt.node.MigrateNow(tgt.id) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	r := &Result{Header: []string{"actor", "phase1(ms)", "phase2(ms)", "phase3(ms)", "phase4(ms)", "total(ms)", "bytes"}}
 	recs := append(append([]core.MigrationRecord(nil), n.Migrations...), peer.Migrations...)
@@ -282,7 +282,7 @@ func runRTAVariant(seed uint64, mode string, size int, window sim.Time) appRun {
 			Data: rta.EncodeTuples(tuples), Size: size, FlowID: i,
 		}
 	})
-	cl.Eng.RunUntil(window)
+	cl.RunUntil(window)
 	return collect(cl, client, window, map[string]string{"RTA Worker": "w0"})
 }
 

@@ -41,7 +41,7 @@ func runFirewall(seed uint64, load float64, window sim.Time) appRun {
 		return workload.Request{Node: "fw", Dst: 500, Kind: nf.KindPacket,
 			Data: t.Encode(), Size: 1024, FlowID: i}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	return appRun{P50: client.Lat.Percentile(50), P99: client.Lat.Percentile(99),
 		Tput: float64(client.Received) / window.Seconds(), CoresUsed: map[string]float64{}}
 }
@@ -73,6 +73,6 @@ func runIPSec(seed uint64, nic *spec.NICModel, window sim.Time) float64 {
 		return workload.Request{Node: "gw", Dst: gws[int(i)%len(gws)], Kind: nf.KindPacket,
 			Data: make([]byte, 256), Size: size, FlowID: i}
 	})
-	cl.Eng.RunUntil(window + 2*sim.Millisecond)
+	cl.RunUntil(window + 2*sim.Millisecond)
 	return float64(client.Received) / window.Seconds() * size * 8 / 1e9
 }

@@ -68,7 +68,8 @@ func TestScaleNodesPartsOverride(t *testing.T) {
 // per-partition invariant ledgers attached and fingerprints
 // byte-compared between worker counts.
 func TestGoldenReplayPDESSubset(t *testing.T) {
-	rep, err := GoldenReplayPDES([]string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"}, Options{Quick: true, PDESParts: 2}, 2)
+	rep, err := GoldenReplay([]string{"scale-nodes", "fig17", "faults-pdes", "migrate-pdes"}, Options{Quick: true, PDESParts: 2},
+		[]ReplayVariant{{PDESWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func qosStormRun(opts Options) qosStormOutcome {
 			}
 		})
 
-		cl.Eng.Run()
+		cl.Run()
 
 		for t := 0; t < 3; t++ {
 			o.offered[t] = d.QoS.OfferedTo(t)
@@ -405,7 +405,7 @@ func qosSkewRun(opts Options) qosSkewOutcome {
 			})
 		})
 
-		cl.Eng.Run()
+		cl.Run()
 
 		ctl := d.QoS.Controller
 		o.shrinks, o.tightens, o.reshards, o.ticks = ctl.BatchShrinks, ctl.ThreshTightens, ctl.Reshards, ctl.Ticks
@@ -582,10 +582,8 @@ func qosLanesRun(opts Options) qosLanesOutcome {
 			o.admitted[t] = rt.AdmittedTo(t)
 			o.rejected[t] = rt.RejectedTo(t)
 		}
-		if cl.Group != nil {
-			o.crossed = cl.Group.Crossed()
-			o.rounds = cl.Group.Rounds()
-		}
+		o.crossed = cl.Group.Crossed()
+		o.rounds = cl.Group.Rounds()
 		return o
 	})
 	return outs[0]

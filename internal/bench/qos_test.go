@@ -127,7 +127,7 @@ func TestQoSLanesPDESDeterminism(t *testing.T) {
 // determinism axes (sweep serial-vs-parallel, PDES 1-vs-2 workers) with
 // the invariant checker attached to every cluster.
 func TestGoldenReplayQoSSubset(t *testing.T) {
-	rep, err := GoldenReplayQoS(Options{Quick: true}, []int{2})
+	rep, err := GoldenReplay(QoSExperimentIDs(), Options{Quick: true}, []ReplayVariant{{Parallel: 4}, {PDESWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package bench
 // Golden-fingerprint replay: rerun registered experiments with the
 // runtime invariant checker attached to every cluster they build, then
 // byte-compare the invariant fingerprints (per-epoch and final counter
-// snapshots, see internal/invariant) between a serial and a parallel
-// sweep of the same experiment at the same seed. Any divergence means
-// the parallel sweep runner changed simulation behavior — exactly the
-// class of bug a performance-focused refactor can introduce silently.
+// snapshots, see internal/invariant) between a reference run and each
+// variant of the same experiment at the same seed. A variant changes
+// only parallelism — sweep points fanned across goroutines, or
+// partition windows executed by several workers — so any divergence
+// means a parallel path changed simulation behavior: exactly the class
+// of bug a performance-focused refactor can introduce silently.
 
 import (
 	"fmt"
@@ -17,10 +19,23 @@ import (
 	"repro/internal/invariant"
 )
 
+// ReplayVariant is one determinism axis point compared against the
+// reference run (serial sweep, serial window merge). Parallel sets the
+// sweep-point workers, PDESWorkers the goroutines executing one
+// partitioned cluster's windows; 0 leaves that axis serial.
+type ReplayVariant struct {
+	Parallel    int
+	PDESWorkers int
+}
+
+func (v ReplayVariant) String() string {
+	return fmt.Sprintf("parallel=%d pdes-workers=%d", max(v.Parallel, 1), max(v.PDESWorkers, 1))
+}
+
 // ReplayReport summarizes a GoldenReplay sweep.
 type ReplayReport struct {
 	// Experiments and Runs count experiment ids and individual checked
-	// runs (each id runs at two seeds × serial/parallel = 4 runs).
+	// runs (each id runs at two seeds × (reference + variants)).
 	Experiments int
 	Runs        int
 	// Clusters counts clusters that had a checker attached; Checks the
@@ -30,8 +45,8 @@ type ReplayReport struct {
 	// Violations holds every invariant violation observed, annotated
 	// with the run that produced it.
 	Violations []string
-	// Mismatches lists runs whose serial and parallel fingerprints
-	// differ byte-for-byte.
+	// Mismatches lists variant runs whose fingerprints differ from the
+	// reference byte-for-byte.
 	Mismatches []string
 }
 
@@ -51,15 +66,16 @@ func (r *ReplayReport) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "  MISMATCH  %s\n", m)
 	}
 	if r.OK() {
-		fmt.Fprintln(w, "  all invariants hold; serial and parallel fingerprints match")
+		fmt.Fprintln(w, "  all invariants hold; every variant's fingerprints match the reference")
 	}
 }
 
 // checkedRun executes one experiment with an invariant checker attached
-// to every cluster it builds, returning the run's combined fingerprint
-// (per-cluster fingerprints sorted, so cluster creation order — which a
-// parallel sweep does not fix — cannot affect the comparison).
-func checkedRun(id, tag string, opts Options) (fingerprint string, violations []string, clusters int, checks uint64, err error) {
+// to every cluster it builds, adds its counts and violations to the
+// report, and returns the run's combined fingerprint (per-cluster
+// fingerprints sorted, so cluster creation order — which a parallel
+// sweep does not fix — cannot affect the comparison).
+func (r *ReplayReport) checkedRun(id, tag string, opts Options) (string, error) {
 	var mu sync.Mutex
 	var byCluster [][]*invariant.Checker
 	core.SetDefaultObserver(func(c *core.Cluster) {
@@ -74,11 +90,12 @@ func checkedRun(id, tag string, opts Options) (fingerprint string, violations []
 		byCluster = append(byCluster, cchks)
 		mu.Unlock()
 	})
-	_, err = Run(id, opts)
+	_, err := Run(id, opts)
 	core.SetDefaultObserver(nil)
 	if err != nil {
-		return "", nil, 0, 0, err
+		return "", err
 	}
+	r.Runs++
 	var fps []string
 	for _, cchks := range byCluster {
 		// Cross-partition handoff reconciliation: after a drained run,
@@ -87,132 +104,50 @@ func checkedRun(id, tag string, opts Options) (fingerprint string, violations []
 		invariant.CrossCheckHandoffs(cchks)
 		for _, chk := range cchks {
 			chk.Finish()
-			checks += chk.Checks()
+			r.Checks += chk.Checks()
 			for _, v := range chk.Violations() {
-				violations = append(violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
+				r.Violations = append(r.Violations, fmt.Sprintf("%s %s: %s", id, tag, v.String()))
 			}
 			fps = append(fps, chk.Fingerprint())
 		}
-		clusters += len(cchks)
+		r.Clusters += len(cchks)
 	}
-	return invariant.SortFingerprints(fps), violations, clusters, checks, nil
+	return invariant.SortFingerprints(fps), nil
 }
 
 // GoldenReplay runs each experiment id at two seeds (opts.Seed and
-// opts.Seed+1), serially and with a parallel sweep of the given worker
-// count, checking invariants throughout and byte-comparing the two
-// fingerprints per (id, seed). Experiments that build no clusters (the
-// raw device characterizations) contribute empty — trivially equal —
-// fingerprints. GoldenReplay installs the process-wide cluster observer
+// opts.Seed+1): once as the reference (Parallel=1, PDESWorkers=1) and
+// once per variant, checking invariants throughout and byte-comparing
+// each variant's fingerprint with the reference's per (id, seed).
+// Experiments that build no clusters (the raw device characterizations)
+// contribute empty — trivially equal — fingerprints, and classic
+// experiments run identically under a PDES variant (a no-regression
+// control). GoldenReplay installs the process-wide cluster observer
 // hook, so it must not run concurrently with other harness users.
-func GoldenReplay(ids []string, opts Options, workers int) (*ReplayReport, error) {
-	if workers < 2 {
-		workers = 4
-	}
+func GoldenReplay(ids []string, opts Options, variants []ReplayVariant) (*ReplayReport, error) {
 	rep := &ReplayReport{}
 	for _, id := range ids {
 		rep.Experiments++
 		for _, seed := range []uint64{opts.seed(), opts.seed() + 1} {
-			runOpts := opts
-			runOpts.Seed = seed
-
-			runOpts.Parallel = 1
-			sfp, sviol, scl, sch, err := checkedRun(id, fmt.Sprintf("seed=%d serial", seed), runOpts)
+			ref := opts
+			ref.Seed, ref.Parallel, ref.PDESWorkers = seed, 1, 1
+			fp, err := rep.checkedRun(id, fmt.Sprintf("seed=%d reference", seed), ref)
 			if err != nil {
 				return nil, err
 			}
-			runOpts.Parallel = workers
-			pfp, pviol, pcl, pch, err := checkedRun(id, fmt.Sprintf("seed=%d parallel", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-
-			rep.Runs += 2
-			rep.Clusters += scl + pcl
-			rep.Checks += sch + pch
-			rep.Violations = append(rep.Violations, sviol...)
-			rep.Violations = append(rep.Violations, pviol...)
-			if sfp != pfp {
-				rep.Mismatches = append(rep.Mismatches,
-					fmt.Sprintf("%s seed=%d: serial and parallel invariant fingerprints differ", id, seed))
+			for _, v := range variants {
+				run := ref
+				run.Parallel, run.PDESWorkers = max(v.Parallel, 1), max(v.PDESWorkers, 1)
+				vfp, err := rep.checkedRun(id, fmt.Sprintf("seed=%d %v", seed, v), run)
+				if err != nil {
+					return nil, err
+				}
+				if vfp != fp {
+					rep.Mismatches = append(rep.Mismatches,
+						fmt.Sprintf("%s seed=%d: %v fingerprints differ from the reference", id, seed, v))
+				}
 			}
 		}
 	}
 	return rep, nil
-}
-
-// GoldenReplayPDES is GoldenReplay along the PDES axis: each experiment
-// runs at two seeds with the serial window merge (PDESWorkers=1) and
-// again with `workers` goroutines executing partition windows, sweep
-// parallelism pinned to 1 on both sides so the only variable is the
-// parallel engine. The per-partition invariant fingerprints must match
-// byte for byte — the determinism contract of sim.Group. Classic
-// (unpartitioned) experiments run identically on both sides and act as
-// a no-regression control. Like GoldenReplay, this installs the
-// process-wide cluster observer hook, so it must not run concurrently
-// with other harness users.
-func GoldenReplayPDES(ids []string, opts Options, workers int) (*ReplayReport, error) {
-	if workers < 2 {
-		workers = 2
-	}
-	rep := &ReplayReport{}
-	for _, id := range ids {
-		rep.Experiments++
-		for _, seed := range []uint64{opts.seed(), opts.seed() + 1} {
-			runOpts := opts
-			runOpts.Seed = seed
-			runOpts.Parallel = 1
-
-			runOpts.PDESWorkers = 1
-			sfp, sviol, scl, sch, err := checkedRun(id, fmt.Sprintf("seed=%d pdes-serial", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-			runOpts.PDESWorkers = workers
-			pfp, pviol, pcl, pch, err := checkedRun(id, fmt.Sprintf("seed=%d pdes-parallel", seed), runOpts)
-			if err != nil {
-				return nil, err
-			}
-
-			rep.Runs += 2
-			rep.Clusters += scl + pcl
-			rep.Checks += sch + pch
-			rep.Violations = append(rep.Violations, sviol...)
-			rep.Violations = append(rep.Violations, pviol...)
-			if sfp != pfp {
-				rep.Mismatches = append(rep.Mismatches,
-					fmt.Sprintf("%s seed=%d: PDES serial-merge and parallel fingerprints differ", id, seed))
-			}
-		}
-	}
-	return rep, nil
-}
-
-// GoldenReplayQoS replays the qos-* experiment family along both
-// determinism axes: the serial-vs-parallel sweep axis, and the PDES
-// axis at every requested worker count (defaults 2 and 4, covering the
-// 1/2/4-worker contract — each PDES pass compares a 1-worker run
-// against an N-worker run of the same partitioned cluster). Reports are
-// merged into one.
-func GoldenReplayQoS(opts Options, workerCounts []int) (*ReplayReport, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{2, 4}
-	}
-	ids := QoSExperimentIDs()
-	combined, err := GoldenReplay(ids, opts, 4)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range workerCounts {
-		rep, err := GoldenReplayPDES(ids, opts, w)
-		if err != nil {
-			return nil, err
-		}
-		combined.Runs += rep.Runs
-		combined.Clusters += rep.Clusters
-		combined.Checks += rep.Checks
-		combined.Violations = append(combined.Violations, rep.Violations...)
-		combined.Mismatches = append(combined.Mismatches, rep.Mismatches...)
-	}
-	return combined, nil
 }

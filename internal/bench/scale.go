@@ -153,7 +153,7 @@ func runScale(seed uint64, shards, batch, depth int, theta float64, window sim.T
 	for i := 0; i < warmDepth; i++ {
 		issueWarm()
 	}
-	cl.Eng.RunUntil(warmupBudget + window)
+	cl.RunUntil(warmupBudget + window)
 
 	out := scaleRun{PerShard: perShard, Trains: b.Trains, Coalesced: b.Coalesced}
 	var max, total uint64

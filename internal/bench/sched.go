@@ -111,7 +111,7 @@ func fig16(opts Options) *Result {
 			}
 			return workload.Request{Node: "srv", Dst: dst, Size: 512, FlowID: i}
 		})
-		cl.Eng.Run()
+		cl.Run()
 		return client.Lat.Percentile(99)
 	}
 

@@ -54,7 +54,7 @@ func table3Live(opts Options) *Result {
 				})
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		measured := a.ServiceStats.Mean()
 		want := prof.ExecLat1KB.Micros()
 		delta := (measured - want) / want * 100

@@ -32,7 +32,7 @@ func TestDeliverRunReplyAllocations(t *testing.T) {
 	pkt := &netsim.Packet{Src: "cli", Dst: "srv", Size: 256, Payload: req}
 	allocs := testing.AllocsPerRun(200, func() {
 		n.Deliver(pkt)
-		cl.Eng.Run()
+		cl.Run()
 	})
 	if allocs > 2 {
 		t.Fatalf("deliver→run→reply allocated %v per request, want ≤ 2 (reply packet and envelope)", allocs)

@@ -55,26 +55,21 @@ type BatchEnvelope struct {
 	Sizes []int
 }
 
-// Cluster is a deployment: one engine, one network, a shared actor
-// table, and a set of nodes.
+// Cluster is a deployment: a group of engine partitions, one network, a
+// shared actor table, and a set of nodes. A classic cluster is the
+// 1-partition group.
 type Cluster struct {
+	// Eng is partition 0's engine (the only one on a classic cluster).
 	Eng   *sim.Engine
 	Net   *netsim.Network
 	Table *actor.Table
 	nodes map[string]*Node
 
-	// Group is non-nil on partitioned (PDES) clusters: nodes are
-	// assigned round-robin to its engines and Eng aliases partition 0.
+	// Group holds the engine partitions; nodes are assigned to them
+	// round-robin.
 	Group       *sim.Group
 	pdesWorkers int
 	nextPart    int
-
-	// pendingKills defers watchdog kills on partitioned clusters to the
-	// next window boundary: entry p is appended only by partition p's
-	// window goroutine and drained by the coordinator's OnRound hook in
-	// partition order, so the shared-table rewrite never races a live
-	// window and lands identically at any worker count.
-	pendingKills [][]pendingKill
 
 	tracer    *obs.Tracer
 	collector *obs.Collector
@@ -89,28 +84,17 @@ type Cluster struct {
 	onMembership []func(node string, down bool)
 }
 
-// NewCluster creates an empty cluster with a deterministic seed.
-func NewCluster(seed uint64) *Cluster {
-	eng := sim.NewEngine(seed)
-	c := &Cluster{
-		Eng:   eng,
-		Net:   netsim.New(eng),
-		Table: actor.NewTable(),
-		nodes: map[string]*Node{},
-	}
-	if defaultObserver != nil {
-		defaultObserver(c)
-	}
-	return c
-}
+// NewCluster creates an empty classic (1-partition) cluster with a
+// deterministic seed.
+func NewCluster(seed uint64) *Cluster { return NewPartitionedCluster(seed, 1) }
 
 // NewPartitionedCluster creates a cluster sharded across parts engine
 // partitions for conservative parallel execution: AddNode assigns each
 // node (all of its NIC/host/PCIe models) to a partition round-robin,
 // and the network switch hands packets across partitions (see
-// netsim.AttachOn). Drive it with Cluster.RunUntil; SetPDESWorkers
-// picks the parallelism (any worker count produces byte-identical
-// results). parts = 1 degenerates to a classic cluster.
+// netsim.AttachOn). Drive it with Cluster.Run or Cluster.RunUntil;
+// SetPDESWorkers picks the parallelism (any worker count produces
+// byte-identical results). parts = 1 is a classic cluster.
 //
 // The §3.2.5 push/pull actor migration IS supported: the protocol's
 // node-local phases run on the owning partition's engine and the
@@ -119,10 +103,7 @@ func NewCluster(seed uint64) *Cluster {
 // conservative-window boundary via sim.Group.DeferBarrier, so the
 // copy-on-write table stays single-writer and results are
 // byte-identical at any worker count (DESIGN.md §13). The
-// per-invocation watchdog is supported the same way — its kill path is
-// deferred to the next window boundary, where the coordinator
-// performs the table rewrite with no window in flight (kills land in
-// partition order, deterministically at any worker count). Fault
+// per-invocation watchdog's kill commits the same way. Fault
 // injection is supported too: fault.Install routes cluster-wide arms
 // (crash, loss, flap, partition cuts) through sim.Group.AtBarrier
 // window-boundary actions and partition-local arms (overload, accel
@@ -133,20 +114,13 @@ func NewCluster(seed uint64) *Cluster {
 // observation never perturbs results (see EnableTracingPrefixed /
 // EnableMetricsPrefixed).
 func NewPartitionedCluster(seed uint64, parts int) *Cluster {
-	if parts < 1 {
-		parts = 1
-	}
 	g := sim.NewGroup(seed, parts)
 	c := &Cluster{
 		Eng:   g.Engine(0),
 		Net:   netsim.NewPartitioned(g),
 		Table: actor.NewTable(),
 		nodes: map[string]*Node{},
-	}
-	if parts > 1 {
-		c.Group = g
-		c.pendingKills = make([][]pendingKill, parts)
-		g.OnRound(func(sim.Time) { c.drainKills() })
+		Group: g,
 	}
 	if defaultObserver != nil {
 		defaultObserver(c)
@@ -154,54 +128,24 @@ func NewPartitionedCluster(seed uint64, parts int) *Cluster {
 	return c
 }
 
-// pendingKill is one watchdog kill deferred to a window boundary.
-type pendingKill struct {
-	n *Node
-	a *actor.Actor
-}
-
-// drainKills performs deferred watchdog kills between conservative
-// windows, in partition order (see pendingKills).
-func (c *Cluster) drainKills() {
-	for p := range c.pendingKills {
-		kills := c.pendingKills[p]
-		if len(kills) == 0 {
-			continue
-		}
-		c.pendingKills[p] = nil
-		for _, k := range kills {
-			k.n.performKill(k.a)
-		}
-	}
-}
-
 // Partitions returns the number of engine partitions (1 on classic
 // clusters).
-func (c *Cluster) Partitions() int {
-	if c.Group == nil {
-		return 1
-	}
-	return c.Group.Partitions()
-}
+func (c *Cluster) Partitions() int { return c.Group.Partitions() }
 
-// SetPDESWorkers bounds the goroutines used by RunUntil on partitioned
-// clusters; ≤ 1 runs all partitions on the caller's goroutine (the
-// serial merge — same results, no parallelism).
+// SetPDESWorkers bounds the goroutines used by Run and RunUntil on
+// partitioned clusters; ≤ 1 runs all partitions on the caller's
+// goroutine (the serial merge — same results, no parallelism).
 func (c *Cluster) SetPDESWorkers(w int) { c.pdesWorkers = w }
 
-// RunUntil advances the cluster to the deadline: the partitioned run
-// loop on PDES clusters, plain Engine.RunUntil otherwise.
-func (c *Cluster) RunUntil(deadline sim.Time) {
-	if c.Group != nil {
-		workers := c.pdesWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		c.Group.RunUntil(deadline, workers)
-		return
-	}
-	c.Eng.RunUntil(deadline)
-}
+// RunUntil advances the cluster to the deadline (sim.Group.RunUntil):
+// every event at or before it executes, window-boundary actions
+// included, and every partition's clock ends at the deadline.
+func (c *Cluster) RunUntil(deadline sim.Time) { c.Group.RunUntil(deadline, c.pdesWorkers) }
+
+// Run drives the cluster until no event is pending on any partition.
+// Like Engine.Run, it leaves each clock at its last executed event, so
+// Eng.Now reads the drain time and the cluster can be given more work.
+func (c *Cluster) Run() { c.RunUntil(sim.MaxTime) }
 
 // Tracer returns the cluster's tracer (nil when tracing is disabled).
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
@@ -365,17 +309,9 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 		}
 	}
 
-	eng, part := c.Eng, 0
-	if c.Group != nil {
-		// Migration IS supported here: the 4-phase protocol's node-local
-		// phases run on this partition's engine and its cluster-visible
-		// commit defers to the next window boundary (see migrate.go), so
-		// the shared actor table stays single-writer. The watchdog's kill
-		// path is deferred the same way (see killActor).
-		part = c.nextPart % c.Group.Partitions()
-		c.nextPart++
-		eng = c.Group.Engine(part)
-	}
+	part := c.nextPart % c.Group.Partitions()
+	c.nextPart++
+	eng := c.Group.Engine(part)
 
 	n := &Node{
 		c:          c,
@@ -469,8 +405,7 @@ func (c *Cluster) AddNode(cfg Config) *Node {
 // Offloaded reports whether this node runs iPipe on a SmartNIC.
 func (n *Node) Offloaded() bool { return n.Sched != nil }
 
-// Eng returns the engine this node's events run on (the partition
-// engine under PDES, the cluster engine otherwise).
+// Eng returns the engine this node's events run on: its partition's.
 func (n *Node) Eng() *sim.Engine { return n.eng }
 
 // LaneDispatcher sits between traffic-gate admission and the actor
@@ -781,22 +716,18 @@ func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
 }
 
 // killActor is the watchdog's OnKill: deregister everywhere and free
-// resources (§3.4). On a partitioned cluster the kill fires mid-window
-// on the owning partition's goroutine, so the rewrite is deferred to
-// the next window boundary (the actor may execute a few more already
-// queued invocations inside the current window — the documented PDES
-// kill semantics).
+// resources (§3.4). The deregistration rewrites the shared actor table,
+// so it goes through commit like a migration's: on a partitioned
+// cluster it lands at the next window boundary (the actor may execute a
+// few more already queued invocations inside the current window — the
+// documented PDES kill semantics). Idempotent: a deferred kill may race
+// a crash drain or a repeated watchdog trip for the same actor within
+// one window.
 func (n *Node) killActor(a *actor.Actor) {
-	if n.c.Group != nil {
-		n.c.pendingKills[n.Part] = append(n.c.pendingKills[n.Part], pendingKill{n: n, a: a})
-		return
-	}
-	n.performKill(a)
+	n.commit(func() { n.performKill(a) })
 }
 
-// performKill deregisters the actor everywhere. Idempotent: a deferred
-// kill may race a crash drain or a repeated watchdog trip for the same
-// actor within one window.
+// performKill deregisters a live actor everywhere.
 func (n *Node) performKill(a *actor.Actor) {
 	if _, live := n.actors[a.ID]; !live {
 		return

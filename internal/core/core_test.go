@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/actor"
@@ -37,7 +38,7 @@ func TestEndToEndNICEcho(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: uint64(i)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 100 {
 		t.Fatalf("received %d of 100 (dropped=%d)", client.Received, n.Dropped)
 	}
@@ -67,7 +68,7 @@ func TestEndToEndHostActorViaRings(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 2, Size: 256})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 50 {
 		t.Fatalf("received %d of 50", client.Received)
 	}
@@ -96,7 +97,7 @@ func TestBaselineDPDKNode(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 3, Size: 512})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 50 {
 		t.Fatalf("received %d of 50", client.Received)
 	}
@@ -118,7 +119,7 @@ func TestCoreSavingsHeadline(t *testing.T) {
 		client.OpenLoop(200000, 20*sim.Millisecond, func(i uint64) workload.Request {
 			return workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: i}
 		})
-		cl.Eng.Run()
+		cl.Run()
 		if client.Received < client.Sent*95/100 {
 			t.Fatalf("offload=%v: only %d/%d responses", offload, client.Received, client.Sent)
 		}
@@ -160,7 +161,7 @@ func TestCrossPCIeActorMessaging(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 21, Size: 128})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if done != 10 {
 		t.Fatalf("host sink saw %d of 10 relayed messages", done)
 	}
@@ -187,7 +188,7 @@ func TestRemoteActorMessaging(t *testing.T) {
 	}, true, 0)
 	client := workload.NewClient(cl, "cli", 10)
 	client.Send(workload.Request{Node: "a", Dst: 30, Size: 64})
-	cl.Eng.Run()
+	cl.Run()
 	if got != 1 {
 		t.Fatalf("remote actor saw %d messages", got)
 	}
@@ -212,7 +213,7 @@ func TestPushMigrationUnderOverload(t *testing.T) {
 	client.OpenLoop(50000, 30*sim.Millisecond, func(i uint64) workload.Request {
 		return workload.Request{Node: "srv", Dst: 40, Size: 512, FlowID: i}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(n.Migrations) == 0 {
 		t.Fatal("overloaded actor never migrated to the host")
 	}
@@ -246,7 +247,7 @@ func TestMigrateNowRecordsPhases(t *testing.T) {
 	if !n.MigrateNow(50) {
 		t.Fatal("MigrateNow refused")
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if len(n.Migrations) != 1 {
 		t.Fatalf("migrations = %d", len(n.Migrations))
 	}
@@ -283,7 +284,7 @@ func TestWatchdogKillsRunawayActor(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 61, Size: 64})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if n.Watchdog.Kills != 1 {
 		t.Fatalf("watchdog kills = %d", n.Watchdog.Kills)
 	}
@@ -293,6 +294,61 @@ func TestWatchdogKillsRunawayActor(t *testing.T) {
 	// Other actors keep running; availability preserved.
 	if client.Received != 10 {
 		t.Fatalf("echo served %d of 10 after the kill", client.Received)
+	}
+}
+
+// TestWatchdogKillsRunawayActorPartitioned: on a 2-partition cluster
+// the runaway actor's node runs on partition 1, so the kill fires
+// mid-window and its actor-table rewrite commits at the next window
+// boundary. The actor must still be gone, the node's other actor and
+// the other partition's actor keep serving cross-partition traffic, and
+// the run is identical at 1 and 2 window workers.
+func TestWatchdogKillsRunawayActorPartitioned(t *testing.T) {
+	run := func(workers int) string {
+		cl := core.NewPartitionedCluster(1, 2)
+		cl.SetPDESWorkers(workers)
+		front := cl.AddNode(core.Config{Name: "front", NIC: spec.LiquidIOII_CN2350()})
+		n := cl.AddNode(core.Config{
+			Name: "srv", NIC: spec.LiquidIOII_CN2350(),
+			WatchdogTimeout: 100 * sim.Microsecond,
+		})
+		if front.Part != 0 || n.Part != 1 {
+			t.Fatalf("partitions = %d/%d, want 0/1", front.Part, n.Part)
+		}
+		evil := &actor.Actor{
+			ID: 60, Name: "evil",
+			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
+				return sim.Second // infinite loop
+			},
+		}
+		n.Register(evil, true, 0)
+		n.Register(echoActor(61, sim.Microsecond), true, 0)
+		front.Register(echoActor(62, sim.Microsecond), true, 0)
+		client := workload.NewClientAt(cl, "cli", 10, front.Part)
+		client.Send(workload.Request{Node: "srv", Dst: 60, Size: 64})
+		for i := 0; i < 10; i++ {
+			at := sim.Time(i+1) * 200 * sim.Microsecond
+			client.Eng().At(at, func() {
+				client.Send(workload.Request{Node: "srv", Dst: 61, Size: 64})
+				client.Send(workload.Request{Node: "front", Dst: 62, Size: 64})
+			})
+		}
+		cl.RunUntil(5 * sim.Millisecond)
+		if n.Watchdog.Kills != 1 {
+			t.Fatalf("workers=%d: watchdog kills = %d", workers, n.Watchdog.Kills)
+		}
+		if _, ok := cl.Table.Lookup(60); ok {
+			t.Fatalf("workers=%d: killed actor still in table", workers)
+		}
+		if client.Received != 20 {
+			t.Fatalf("workers=%d: served %d of 20 after the kill", workers, client.Received)
+		}
+		return fmt.Sprintf("p50=%v p99=%v events=%d rounds=%d",
+			client.Lat.Percentile(50), client.Lat.Percentile(99),
+			cl.Group.ExecutedEvents(), cl.Group.Rounds())
+	}
+	if one, two := run(1), run(2); one != two {
+		t.Fatalf("run diverged between worker counts:\n 1: %s\n 2: %s", one, two)
 	}
 }
 
@@ -315,7 +371,7 @@ func TestIsolationViolationRecorded(t *testing.T) {
 	n.Register(attacker, true, 0)
 	client := workload.NewClient(cl, "cli", 10)
 	client.Send(workload.Request{Node: "srv", Dst: 71, Size: 64})
-	cl.Eng.Run()
+	cl.Run()
 	if n.Violations.Count(71) != 1 {
 		t.Fatalf("violations recorded: %d", n.Violations.Count(71))
 	}
@@ -358,7 +414,7 @@ func TestFrameworkOverheadRawVsIPipe(t *testing.T) {
 		client.OpenLoop(100000, 20*sim.Millisecond, func(i uint64) workload.Request {
 			return workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: i, Data: make([]byte, 64)}
 		})
-		cl.Eng.Run()
+		cl.Run()
 		return n.HostCoresUsed()
 	}
 	raw, ipipe := run(true), run(false)

@@ -36,7 +36,7 @@ func TestRetryRecoversFromLoss(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != reqs {
 		t.Fatalf("received %d of %d despite retries (lost=%d retried=%d)",
 			client.Received, reqs, cl.Net.Lost(), client.Retried)
@@ -66,7 +66,7 @@ func TestNoRetryLosesUnderLoss(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 1, Size: 256, FlowID: uint64(i)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received == client.Sent {
 		t.Fatal("20% loss lost nothing — injection broken")
 	}
@@ -108,7 +108,7 @@ func TestPaxosToleratesSingleLinkLoss(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if acked != writes {
 		t.Fatalf("acked %d of %d writes under loss (lost=%d)", acked, writes, cl.Net.Lost())
 	}
@@ -129,7 +129,7 @@ func TestPaxosToleratesSingleLinkLoss(t *testing.T) {
 			},
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if done != writes || misses != 0 {
 		t.Fatalf("reads: done=%d misses=%d", done, misses)
 	}

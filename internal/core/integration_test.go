@@ -32,7 +32,7 @@ func TestOffPathNICEndToEnd(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: uint64(i % 2)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 200 {
 		t.Fatalf("received %d of 200 via shuffle layer", client.Received)
 	}
@@ -59,7 +59,7 @@ func TestBlueFieldNode(t *testing.T) {
 				client.Send(workload.Request{Node: "srv", Dst: 1, Size: 512, FlowID: uint64(i)})
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		if client.Received != 50 {
 			t.Fatalf("%s: received %d of 50", model.Name, client.Received)
 		}
@@ -98,7 +98,7 @@ func TestTinyRingBackpressure(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 2, Size: 256, FlowID: uint64(i)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if served != 100 {
 		t.Fatalf("served %d of 100 through an 8-slot ring (backpressure lost messages)", served)
 	}
@@ -138,7 +138,7 @@ func TestHostToNICRingDirection(t *testing.T) {
 			client.Send(workload.Request{Node: "srv", Dst: 4, Size: 128, FlowID: uint64(i)})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if got != 200 {
 		t.Fatalf("NIC sink saw %d of 200 host-originated messages", got)
 	}
@@ -210,7 +210,7 @@ func TestManyActorsManyNodes(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 64 {
 		t.Fatalf("received %d of 64", client.Received)
 	}
@@ -240,7 +240,7 @@ func TestDeterminism(t *testing.T) {
 		client.OpenLoop(300000, 3*sim.Millisecond, func(i uint64) workload.Request {
 			return workload.Request{Node: "srv", Dst: 1, Size: 256, FlowID: i}
 		})
-		cl.Eng.Run()
+		cl.Run()
 		return client.Received, client.Lat.Percentile(99)
 	}
 	r1, p1 := run(77)

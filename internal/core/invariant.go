@@ -32,15 +32,11 @@ func (c *Cluster) EnableInvariants(chk *invariant.Checker) {
 // AttachCheckers creates and wires one invariant checker per engine
 // partition — the granularity conservation must be checked at under
 // PDES, since each partition's ledger only sees its own events (cross-
-// partition packets are reconciled by the handoff counters). On classic
-// clusters it is EnableInvariants with a single fresh checker. Returns
-// the checkers, in partition order; idempotent.
+// partition packets are reconciled by the handoff counters). A classic
+// cluster gets a single checker. Returns the checkers, in partition
+// order; idempotent.
 func (c *Cluster) AttachCheckers() []*invariant.Checker {
 	if len(c.checkers) > 0 {
-		return c.checkers
-	}
-	if c.Partitions() <= 1 {
-		c.EnableInvariants(invariant.New(c.Eng))
 		return c.checkers
 	}
 	c.checkers = make([]*invariant.Checker, c.Partitions())

@@ -11,19 +11,14 @@ import (
 // that run on the owning partition's engine, and one cluster-visible
 // *commit* — the actor-table rewrite, the host/NIC registration, the
 // buffered-request re-dispatch — that must not race the other
-// partitions' table reads. commit routes the latter: inline on a
-// classic cluster (byte-identical to the pre-PDES behavior), deferred
-// to the next conservative-window boundary on a partitioned one
-// (sim.Group.DeferBarrier), where the coordinator applies it with no
-// window in flight, in partition order — a pure function of the round
-// structure, so results are identical at any worker count.
-func (n *Node) commit(fn func()) {
-	if n.c.Group != nil {
-		n.c.Group.DeferBarrier(n.Part, fn)
-		return
-	}
-	fn()
-}
+// partitions' table reads. commit routes the latter (and watchdog
+// kills, see killActor) through sim.Group.DeferBarrier: inline on a
+// classic (1-partition) cluster, deferred to the next
+// conservative-window boundary on a partitioned one, where the
+// coordinator applies it with no window in flight, in partition order —
+// a pure function of the round structure, so results are identical at
+// any worker count.
+func (n *Node) commit(fn func()) { n.c.Group.DeferBarrier(n.Part, fn) }
 
 // pushToHost runs the 4-phase NIC→host actor migration of §3.2.5:
 //

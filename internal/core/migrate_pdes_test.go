@@ -40,7 +40,7 @@ func TestMigrateNowHoldsLatch(t *testing.T) {
 	if n.MigrateNow(2) {
 		t.Fatal("second MigrateNow accepted while a migration is in flight (latch not held)")
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if len(n.Migrations) != 1 {
 		t.Fatalf("migrations recorded = %d, want exactly the latched one", len(n.Migrations))
 	}
@@ -49,7 +49,7 @@ func TestMigrateNowHoldsLatch(t *testing.T) {
 	if !n.MigrateNow(2) {
 		t.Fatal("MigrateNow refused after the in-flight migration completed")
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if len(n.Migrations) != 2 {
 		t.Fatalf("migrations recorded = %d after retry, want 2", len(n.Migrations))
 	}
@@ -77,7 +77,7 @@ func TestMigrateNowDeadHardware(t *testing.T) {
 	n.Recover()
 
 	n.FailNIC() // re-homes the actor to the host
-	cl.Eng.Run()
+	cl.Run()
 	if n.MigrateNow(1) {
 		t.Fatal("MigrateNow accepted with the NIC complex down")
 	}
@@ -89,7 +89,7 @@ func TestMigrateNowDeadHardware(t *testing.T) {
 	if !n.PullNow() {
 		t.Fatal("PullNow refused after RecoverNIC")
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if side, err := n.ActorSide(1); err != nil || side != dmo.NIC {
 		t.Fatalf("actor side after pull = %v/%v, want NIC", side, err)
 	}
@@ -108,11 +108,11 @@ func TestPullRecordsMigration(t *testing.T) {
 	if !n.MigrateNow(7) {
 		t.Fatal("push refused")
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if !n.PullNow() {
 		t.Fatal("pull refused")
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	if len(n.Migrations) != 2 {
 		t.Fatalf("migrations recorded = %d, want push + pull", len(n.Migrations))

@@ -48,7 +48,7 @@ func observedRun(t *testing.T, seed uint64, trace, metrics bool) (traceOut, metr
 	if col != nil {
 		col.Start()
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if col != nil {
 		col.Snapshot()
 	}

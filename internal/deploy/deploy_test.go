@@ -70,7 +70,7 @@ func TestRKVReadsSurviveLeaderCrash(t *testing.T) {
 	// Still during the outage, after re-election: the new leader (first
 	// live replica in order, kv1) must accept a write.
 	send(crashAt+1500*sim.Microsecond, n1, c1, rkv.PutReq([]byte("k2"), []byte("v2")), &wroteAfter)
-	cl.Eng.Run()
+	cl.Run()
 
 	if wrote != rkv.StatusOK {
 		t.Fatalf("pre-crash write status = %v, want OK", wrote)
@@ -100,7 +100,7 @@ func TestRKVFailoverDisabled(t *testing.T) {
 		fault.Crash("kv0", sim.Millisecond, sim.Millisecond),
 	}}
 	cl, d := rkvTestCluster(t, 1, sched, FailoverPolicy{Disabled: true})
-	cl.Eng.Run()
+	cl.Run()
 	if d.Elections != 0 {
 		t.Fatalf("Elections = %d with failover disabled", d.Elections)
 	}
@@ -176,7 +176,7 @@ func TestDTCoordinatorCrashAtomicity(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 
 	lookup := func(k []byte) []byte {
 		for _, st := range d.Stores {
@@ -293,7 +293,7 @@ func TestRKVSpecFaultFreeMatchesLegacy(t *testing.T) {
 				})
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		return strings.Join(log, "\n")
 	}
 	if a, b := run(true), run(false); a != b {
@@ -391,7 +391,7 @@ func TestRKVShardedRouting(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if ok != n {
 		t.Fatalf("%d of %d routed requests succeeded", ok, n)
 	}
@@ -425,7 +425,7 @@ func TestRKVShardedFailoverIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Eng.RunUntil(10 * sim.Millisecond)
+	cl.RunUntil(10 * sim.Millisecond)
 	if d.Elections != 1 {
 		t.Fatalf("%d elections, want exactly 1 (only shard 0 lost its leader)", d.Elections)
 	}

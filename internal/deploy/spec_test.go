@@ -210,7 +210,7 @@ func TestDefaultCommonMatchesPreQoSFingerprint(t *testing.T) {
 				})
 			})
 		}
-		cl.Eng.Run()
+		cl.Run()
 		return strings.Join(log, "\n"), chk.Fingerprint()
 	}
 

@@ -76,7 +76,7 @@ func TestCrashWindowDropsAndRestores(t *testing.T) {
 		at := at
 		cl.Eng.At(at, func() { nodes[0].Inject(actor.Msg{Kind: 1, Dst: 50}) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if len(handled) != 2 {
 		t.Fatalf("handled %d messages, want 2 (one dropped mid-crash): %v", len(handled), handled)
 	}
@@ -111,7 +111,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Eng.Run()
+		cl.Run()
 		return in.Fingerprint()
 	}
 	a, b := run(42), run(42)
@@ -155,7 +155,7 @@ func TestLossWindowDropsSomeTraffic(t *testing.T) {
 		at := sim.Time(i) * 20 * sim.Microsecond
 		cl.Eng.At(at, func() { nodes[0].Inject(actor.Msg{Kind: 1, Dst: 40}) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if got == 0 || got == sent {
 		t.Fatalf("received %d/%d with 50%% loss active, want strictly between", got, sent)
 	}
@@ -193,7 +193,7 @@ func TestPartitionSeversOnlyAcrossGroups(t *testing.T) {
 		at := sim.Time(i) * 100 * sim.Microsecond
 		cl.Eng.At(at, func() { nodes[0].Inject(actor.Msg{Kind: 1, Dst: 40}) })
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if recv["n1"] != 20 {
 		t.Fatalf("intra-group traffic n0→n1 = %d/20, partition must keep the group connected", recv["n1"])
 	}
@@ -209,7 +209,7 @@ func TestPartitionSeversOnlyAcrossGroups(t *testing.T) {
 func TestInstallRejectsPastStart(t *testing.T) {
 	cl, _ := testCluster(9, 2)
 	cl.Eng.At(2*sim.Millisecond, func() {})
-	cl.Eng.Run() // advance the clock to 2ms
+	cl.Run() // advance the clock to 2ms
 	_, err := Install(cl, Schedule{Faults: []Fault{
 		Crash("n1", 0, sim.Millisecond),
 		Crash("n0", sim.Millisecond, sim.Millisecond),

@@ -44,7 +44,7 @@ type Host struct {
 	cfg   Config
 	hooks Hooks
 
-	queues [][]actor.Msg
+	queues []sim.FIFO[actor.Msg]
 	cores  []*hcore
 	actors map[actor.ID]*actor.Actor
 
@@ -113,7 +113,7 @@ func New(eng *sim.Engine, cfg Config, hooks Hooks) *Host {
 		eng:    eng,
 		cfg:    cfg,
 		hooks:  hooks,
-		queues: make([][]actor.Msg, cfg.Cores),
+		queues: make([]sim.FIFO[actor.Msg], cfg.Cores),
 		actors: map[actor.ID]*actor.Actor{},
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -163,7 +163,7 @@ func (h *Host) LeastLoadedActor() *actor.Actor {
 func (h *Host) Arrive(m actor.Msg) {
 	m.ArrivedAt = h.eng.Now()
 	i := int(m.FlowID % uint64(h.cfg.Cores))
-	h.queues[i] = append(h.queues[i], m)
+	h.queues[i].Push(m)
 	h.cores[i].kick()
 	if h.cfg.Steal {
 		// An idle core may steal immediately.
@@ -179,8 +179,8 @@ func (h *Host) Arrive(m actor.Msg) {
 // Backlog reports queued messages across all cores.
 func (h *Host) Backlog() int {
 	n := 0
-	for _, q := range h.queues {
-		n += len(q)
+	for i := range h.queues {
+		n += h.queues[i].Len()
 	}
 	return n
 }
@@ -218,26 +218,22 @@ func (c *hcore) kick() {
 
 func (c *hcore) pop() (actor.Msg, bool) {
 	h := c.h
-	if q := h.queues[c.id]; len(q) > 0 {
-		m := q[0]
-		h.queues[c.id] = q[1:]
+	if m, ok := h.queues[c.id].Pop(); ok {
 		return m, true
 	}
 	if !h.cfg.Steal {
 		return actor.Msg{}, false
 	}
 	victim, best := -1, 0
-	for i, q := range h.queues {
-		if i != c.id && len(q) > best {
-			victim, best = i, len(q)
+	for i := range h.queues {
+		if n := h.queues[i].Len(); i != c.id && n > best {
+			victim, best = i, n
 		}
 	}
 	if victim == -1 {
 		return actor.Msg{}, false
 	}
-	q := h.queues[victim]
-	m := q[len(q)-1]
-	h.queues[victim] = q[:len(q)-1]
+	m, _ := h.queues[victim].PopBack()
 	h.Steals++
 	return m, true
 }
@@ -303,7 +299,7 @@ func (c *hcore) occupied(any) {
 		if a.Running() > 0 {
 			a.Mailbox.Push(m)
 		} else {
-			h.queues[c.id] = append(h.queues[c.id], m)
+			h.queues[c.id].Push(m)
 		}
 		c.step()
 	case hostOpExec:

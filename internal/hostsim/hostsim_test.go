@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/actor"
@@ -196,5 +197,50 @@ func TestValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestStealTakesVictimTail pins the steal order: a core owns its queue's
+// head, and an idle core steals from the tail of the longest other
+// queue, so the owner and the thief consume the backlog from opposite
+// ends.
+func TestStealTakesVictimTail(t *testing.T) {
+	x := newHH(2, true)
+	x.add(1, sim.Microsecond)
+	got := map[int][]uint64{}
+	x.h.hooks.OnExec = func(core int, _ *actor.Actor, m actor.Msg, _, _ sim.Time) {
+		got[core] = append(got[core], m.FlowID)
+	}
+	for f := uint64(0); f < 12; f += 2 { // even flows all steer to core 0
+		x.h.Arrive(actor.Msg{Dst: 1, FlowID: f})
+	}
+	x.eng.Run()
+	if fmt.Sprint(got[0]) != "[0 2 4]" || fmt.Sprint(got[1]) != "[10 8 6]" {
+		t.Fatalf("core 0 ran %v, core 1 stole %v; want [0 2 4] and [10 8 6]", got[0], got[1])
+	}
+	if x.h.Steals != 3 {
+		t.Fatalf("steals = %d, want 3", x.h.Steals)
+	}
+}
+
+// TestHostQueuesSteadyStateAllocFree: the per-core queues reuse their
+// backing arrays, so bursts drained by the owning core and by thieves
+// allocate nothing once warm. (The reslice idiom q = q[1:] pinned
+// consumed messages and re-allocated on every burst.)
+func TestHostQueuesSteadyStateAllocFree(t *testing.T) {
+	x := newHH(4, true)
+	x.add(1, sim.Microsecond)
+	burst := func() {
+		for i := 0; i < 48; i++ {
+			x.h.Arrive(actor.Msg{Dst: 1, FlowID: uint64(i % 2)}) // cores 0 and 1; 2 and 3 steal
+		}
+		x.eng.Run()
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("steady-state burst allocated %v, want 0", allocs)
+	}
+	if x.h.Backlog() != 0 || x.h.Steals == 0 {
+		t.Fatalf("backlog %d, steals %d; want a drained host that stole", x.h.Backlog(), x.h.Steals)
 	}
 }

@@ -189,13 +189,9 @@ func Run(cfg Config) Stats {
 	out.TputKops = float64(out.Ops) / cfg.Window.Seconds() / 1e3
 	out.P50us = lat.Percentile(50)
 	out.P99us = lat.Percentile(99)
-	if cl.Group != nil {
-		out.Events = cl.Group.ExecutedEvents()
-		out.Crossed = cl.Group.Crossed()
-		out.Rounds = cl.Group.Rounds()
-	} else {
-		out.Events = cl.Eng.Executed()
-	}
+	out.Events = cl.Group.ExecutedEvents()
+	out.Crossed = cl.Group.Crossed()
+	out.Rounds = cl.Group.Rounds()
 	if cfg.Check {
 		out.Violations = 0
 		var fp string

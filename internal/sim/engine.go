@@ -247,28 +247,15 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains.
-func (e *Engine) Run() {
-	for len(e.q) > 0 {
-		ev := e.q.pop()
-		if ev.state == stateStopped {
-			e.dead--
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		fn, arg := ev.fn, ev.arg
-		ev.state = stateFired
-		e.recycle(ev)
-		e.ran++
-		fn(arg)
-	}
-	e.flushExecuted()
-}
+// Run executes events until the queue drains, leaving the clock at the
+// last executed event.
+func (e *Engine) Run() { e.RunUntil(MaxTime) }
 
 // RunUntil executes events with time ≤ deadline (including events that
 // callbacks schedule at or before the deadline while it runs), then
 // advances the clock to deadline. Events beyond it remain pending.
+// RunUntil(MaxTime) is Run: a drain leaves the clock at the last
+// executed event, so later At calls and reads of Now stay meaningful.
 func (e *Engine) RunUntil(deadline Time) {
 	for len(e.q) > 0 {
 		top := e.q[0]
@@ -289,7 +276,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.ran++
 		fn(arg)
 	}
-	if e.now < deadline {
+	if e.now < deadline && deadline != MaxTime {
 		e.now = deadline
 	}
 	e.flushExecuted()

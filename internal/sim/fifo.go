@@ -41,6 +41,24 @@ func (f *FIFO[T]) Pop() (T, bool) {
 	return v, true
 }
 
+// PopBack removes and returns the newest item: the far end from Pop, so
+// a work-stealing thief and the queue's owner consume a backlog from
+// opposite ends.
+func (f *FIFO[T]) PopBack() (T, bool) {
+	var zero T
+	n := len(f.buf)
+	if f.head == n {
+		return zero, false
+	}
+	v := f.buf[n-1]
+	f.buf[n-1] = zero
+	f.buf = f.buf[:n-1]
+	if f.head == n-1 {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v, true
+}
+
 // Drain removes and returns every queued item, oldest first. The queue
 // keeps no reference to the returned slice.
 func (f *FIFO[T]) Drain() []T {

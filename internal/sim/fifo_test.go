@@ -74,3 +74,28 @@ func BenchmarkFIFOSteadyState(b *testing.B) {
 		f.Pop()
 	}
 }
+
+func TestFIFOPopBack(t *testing.T) {
+	var f FIFO[[]byte]
+	for i := 0; i < 4; i++ {
+		f.Push([]byte{byte(i)})
+	}
+	f.Pop() // the head moves past item 0
+	var got []byte
+	for {
+		v, ok := f.PopBack()
+		if !ok {
+			break
+		}
+		got = append(got, v[0])
+	}
+	if string(got) != "\x03\x02\x01" || f.Len() != 0 || f.head != 0 {
+		t.Fatalf("PopBack order %v, Len %d, head %d; want 3 2 1 and a rewound queue", got, f.Len(), f.head)
+	}
+	// Popped slots must not pin their payloads.
+	for i, v := range f.buf[:4] {
+		if v != nil {
+			t.Fatalf("slot %d still references its payload", i)
+		}
+	}
+}

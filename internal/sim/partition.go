@@ -202,15 +202,12 @@ func (g *Group) Rounds() uint64 { return g.rounds }
 
 // OnRound registers a coordinator hook invoked after each round's
 // windows complete, with the round's window limit. Hooks run between
-// rounds, never concurrently with window execution. Observability
-// hooks must stay read-only with respect to simulation state — they
-// must not schedule events, which would change the window structure
-// and perturb results. Coordinator-side *maintenance* mutations (e.g.
-// draining deferred watchdog kills) are permitted because their effect
-// is a pure function of the round structure, which is itself identical
-// at any worker count; they still must not touch state a window could
-// be reading, since hooks and windows never overlap but two hooks'
-// writes are ordered only by registration. Register before RunUntil.
+// rounds, never concurrently with window execution. Hooks are read-only
+// observers of simulation state (the metrics collector samples here):
+// they must not schedule events, which would change the window
+// structure and perturb results, nor mutate the model — mutations that
+// must land between windows go through AtBarrier or DeferBarrier.
+// Register before RunUntil.
 func (g *Group) OnRound(fn func(limit Time)) {
 	if fn == nil {
 		return
@@ -232,8 +229,8 @@ func (g *Group) OnRound(fn func(limit Time)) {
 // at ≥ at.
 //
 // Call AtBarrier before RunUntil or from coordinator context (another
-// barrier action, an OnRound hook) — never from inside window
-// execution, where it would race on the queue. Scheduling an action
+// barrier action) — never from inside window execution, where it would
+// race on the queue (use DeferBarrier there). Scheduling an action
 // before the group's commit floor (a window already executed past it)
 // panics, mirroring Engine.At on past times. Actions past the RunUntil
 // deadline stay queued for a later run.
@@ -258,9 +255,8 @@ func (g *Group) AtBarrier(at Time, fn func()) {
 // partition, then registration — that is a pure function of the round
 // structure and therefore identical at any worker count.
 //
-// On a single-partition group fn runs inline: there are no concurrent
-// readers to defer around, matching the classic-cluster path where the
-// same mutation commits immediately.
+// On a single-partition group (a classic cluster) fn runs inline: there
+// are no concurrent readers to defer around.
 func (g *Group) DeferBarrier(part int, fn func()) {
 	if fn == nil {
 		panic("sim: nil deferred barrier action")
@@ -410,7 +406,9 @@ func (g *Group) runWindow(i int) {
 	g.engs[i].runWindow(g.limit)
 }
 
-// Run drives the group until every partition drains.
+// Run drives the group until every partition drains. Like Engine.Run,
+// it leaves each clock at its partition's last executed event, so the
+// group can be given more work (At, AtBarrier) and run again.
 func (g *Group) Run(workers int) { g.RunUntil(MaxTime, workers) }
 
 // RunUntil advances the whole group until no pending event (in any heap
@@ -528,8 +526,15 @@ func (g *Group) RunUntil(deadline Time, workers int) {
 
 // bumpFloor commits the floor past a completed RunUntil deadline: the
 // clocks are normalized to the deadline, so any later barrier action at
-// or before it would run out of order.
+// or before it would run out of order. A drain (deadline MaxTime) leaves
+// the clocks at their last events instead, and commits past the latest.
 func (g *Group) bumpFloor(deadline Time) {
+	if deadline == MaxTime {
+		deadline = 0
+		for _, e := range g.engs {
+			deadline = max(deadline, e.now)
+		}
+	}
 	f := deadline + 1
 	if f < deadline {
 		f = MaxTime

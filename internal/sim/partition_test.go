@@ -382,6 +382,39 @@ func TestAtBarrierUnderUnboundedRun(t *testing.T) {
 	}
 }
 
+// TestGroupRunDrainLeavesClocks: Group.Run drains like Engine.Run —
+// every clock stays at its partition's last executed event, not
+// MaxTime — so the drained group can take more engine events and
+// barrier actions and be run again. (Regression: Run parked the clocks
+// and the barrier floor at MaxTime, and any later At/AtBarrier
+// panicked as "in the past".)
+func TestGroupRunDrainLeavesClocks(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		g := NewGroup(5, parts)
+		g.TightenLookahead(Microsecond)
+		last := parts - 1
+		g.Engine(0).At(3*Microsecond, func() {})
+		g.Engine(last).At(7*Microsecond, func() {})
+		g.Run(parts)
+		if now := g.Engine(last).Now(); now != 7*Microsecond {
+			t.Fatalf("parts=%d: Now after drain = %v, want the last event's 7µs", parts, now)
+		}
+		var trace []Time
+		g.Engine(last).At(10*Microsecond, func() { trace = append(trace, g.Engine(last).Now()) })
+		g.AtBarrier(12*Microsecond, func() {
+			trace = append(trace, 12*Microsecond)
+			g.Engine(0).At(15*Microsecond, func() { trace = append(trace, g.Engine(0).Now()) })
+		})
+		g.Run(parts)
+		if want := []Time{10 * Microsecond, 12 * Microsecond, 15 * Microsecond}; fmt.Sprint(trace) != fmt.Sprint(want) {
+			t.Fatalf("parts=%d: second drain ran %v, want %v", parts, trace, want)
+		}
+		if now := g.Engine(0).Now(); now != 15*Microsecond {
+			t.Fatalf("parts=%d: Now after second drain = %v, want 15µs", parts, now)
+		}
+	}
+}
+
 // TestDeferBarrierCommitsAtWindowBoundary: a mutation registered from
 // inside window execution runs at the window's limit — after every
 // event strictly before it, before every event at or past it — with

@@ -19,7 +19,7 @@ func TestRequestRoundTripAllocations(t *testing.T) {
 		Timeout: 50 * sim.Microsecond, Retries: 1, OnGiveUp: func() { gaveUp++ }}
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Send(r)
-		cl.Eng.Run()
+		cl.Run()
 	})
 	if allocs > 6 {
 		t.Fatalf("request round trip allocated %v, want ≤ 6", allocs)
@@ -39,7 +39,7 @@ func TestClosedLoopIssuesSuccessorAfterOnResp(t *testing.T) {
 		return workload.Request{Node: "srv", Dst: 1, FlowID: i + 1,
 			OnResp: func(actor.Msg) { order = append(order, 2*i+1) }} // answered
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(order) < 4 {
 		t.Fatalf("closed loop issued only %v", order)
 	}

@@ -16,7 +16,7 @@ func TestBatcherCoalescesAtMaxBatch(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Add(workload.Request{Node: "srv", Dst: 1, Data: []byte("abcd"), FlowID: uint64(i)})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 1 || b.Coalesced != 4 {
 		t.Fatalf("Trains=%d Coalesced=%d, want one 4-message train", b.Trains, b.Coalesced)
 	}
@@ -39,7 +39,7 @@ func TestBatcherWindowFlushesPartialTrain(t *testing.T) {
 			t.Errorf("train left before the window expired")
 		}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 1 || b.Coalesced != 2 {
 		t.Fatalf("Trains=%d Coalesced=%d, want one 2-message train", b.Trains, b.Coalesced)
 	}
@@ -52,7 +52,7 @@ func TestBatcherSingletonGoesAsPlainPacket(t *testing.T) {
 	cl, client := echoCluster(t, 23, sim.Microsecond)
 	b := workload.NewBatcher(client, 2*sim.Microsecond, 8)
 	b.Add(workload.Request{Node: "srv", Dst: 1, FlowID: 7})
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 0 || b.Coalesced != 0 {
 		t.Fatalf("a lone request was train-framed (Trains=%d)", b.Trains)
 	}
@@ -67,7 +67,7 @@ func TestBatcherDisabledBypasses(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Add(workload.Request{Node: "srv", Dst: 1, FlowID: uint64(i)})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 0 {
 		t.Fatalf("MaxBatch=1 still built %d trains", b.Trains)
 	}
@@ -96,7 +96,7 @@ func TestBatcherSeparateDestinationsSeparateTrains(t *testing.T) {
 		b.Add(workload.Request{Node: "srv", Dst: 1, FlowID: uint64(i)})
 		b.Add(workload.Request{Node: "srv", Dst: 2, FlowID: uint64(10 + i)})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 2 || b.Coalesced != 4 {
 		t.Fatalf("Trains=%d Coalesced=%d, want one train per destination", b.Trains, b.Coalesced)
 	}
@@ -120,7 +120,7 @@ func TestBatcherRetriesBypassTrain(t *testing.T) {
 			OnGiveUp: func() { gaveUp++ },
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Retried != 6 {
 		t.Fatalf("retried %d, want 3 per request", client.Retried)
 	}
@@ -151,7 +151,7 @@ func TestBatcherBaselineNodeDelivery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Add(workload.Request{Node: "srv", Dst: 1, FlowID: uint64(i)})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if b.Trains != 1 || client.Received != 3 {
 		t.Fatalf("Trains=%d Received=%d, want 1/3", b.Trains, client.Received)
 	}

@@ -33,7 +33,7 @@ func TestOpenLoopRate(t *testing.T) {
 	client.OpenLoop(rate, window, func(i uint64) workload.Request {
 		return workload.Request{Node: "srv", Dst: 1, Size: 256, FlowID: i}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	want := rate * window.Seconds()
 	got := float64(client.Sent)
 	if got < want*0.85 || got > want*1.15 {
@@ -49,7 +49,7 @@ func TestOpenLoopZeroRateNoop(t *testing.T) {
 	client.OpenLoop(0, 10*sim.Millisecond, func(i uint64) workload.Request {
 		return workload.Request{Node: "srv", Dst: 1}
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if client.Sent != 0 {
 		t.Fatal("zero-rate open loop sent requests")
 	}
@@ -69,7 +69,7 @@ func TestClosedLoopKeepsDepthOutstanding(t *testing.T) {
 			}
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if maxInFlight > depth {
 		t.Fatalf("in-flight %d exceeded depth %d", maxInFlight, depth)
 	}
@@ -97,7 +97,7 @@ func TestRetryCountsOnce(t *testing.T) {
 			})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 50 {
 		t.Fatalf("received %d, want exactly 50 (no double-count)", client.Received)
 	}
@@ -110,7 +110,7 @@ func TestRetryFiresUnderTotalLoss(t *testing.T) {
 		Node: "srv", Dst: 1, Size: 128,
 		Timeout: 50 * sim.Microsecond, Retries: 4,
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if client.Retried != 4 {
 		t.Fatalf("retried %d times, want all 4", client.Retried)
 	}
@@ -134,7 +134,7 @@ func TestBackoffUncappedSaturates(t *testing.T) {
 		Timeout: sim.Microsecond, Retries: retries, Backoff: 2,
 		OnGiveUp: func() { gaveUp++ },
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if client.Retried != retries {
 		t.Fatalf("retried %d times, want all %d", client.Retried, retries)
 	}
@@ -158,7 +158,7 @@ func TestBackoffHonorsMaxTimeout(t *testing.T) {
 		Timeout: 10 * sim.Microsecond, Retries: 10, Backoff: 3,
 		MaxTimeout: 40 * sim.Microsecond,
 	})
-	cl.Eng.Run()
+	cl.Run()
 	// Ladder: 10+30+40×9 = 400µs of waits; allow slack for wire time.
 	if now := cl.Eng.Now(); now > 500*sim.Microsecond {
 		t.Fatalf("run ended at %v, want ≤ 500µs with a 40µs cap", now)
@@ -193,7 +193,7 @@ func TestQoSRejectAccounting(t *testing.T) {
 			OnGiveUp: func() { gaveUp++ },
 		})
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if client.Sent != 0 || client.Rejected != 1 {
 		t.Fatalf("Sent=%d Rejected=%d, want 0/1: rejects must not count as sends",
 			client.Sent, client.Rejected)

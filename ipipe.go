@@ -31,7 +31,7 @@
 //	node.Register(echo, true /* on the NIC */, 0)
 //	client := ipipe.NewClient(cl, "cli", 10)
 //	client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 512})
-//	cl.Eng.Run()
+//	cl.Run()
 package ipipe
 
 import (
@@ -122,7 +122,7 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewMetricsCollector creates a metrics collector sampling the cluster
 // every interval of virtual time (0 uses the default, 100µs). Attach it
-// with Cluster.EnableMetrics and call Start before Eng.Run.
+// with Cluster.EnableMetrics and call Start before Cluster.Run.
 func NewMetricsCollector(c *Cluster, interval Duration) *Collector {
 	if interval <= 0 {
 		interval = obs.DefaultMetricsInterval
@@ -133,7 +133,7 @@ func NewMetricsCollector(c *Cluster, interval Duration) *Collector {
 // NewInvariantChecker attaches a runtime invariant checker to the
 // cluster and returns it. Call before deploying applications and
 // running the engine (the FIFO and byte-accounting audits must observe
-// every push/alloc from the start); after Eng.Run, call Finish to
+// every push/alloc from the start); after Cluster.Run, call Finish to
 // evaluate the end-of-run conservation equalities, then inspect Err,
 // Violations, or Summary.
 func NewInvariantChecker(c *Cluster) *InvariantChecker {

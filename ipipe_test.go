@@ -29,7 +29,7 @@ func TestFacadeQuickstart(t *testing.T) {
 			client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 512})
 		})
 	}
-	cl.Eng.Run()
+	cl.Run()
 	if client.Received != 50 {
 		t.Fatalf("received %d of 50", client.Received)
 	}
@@ -66,7 +66,7 @@ func TestFacadeRKV(t *testing.T) {
 			})
 		},
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(got) == 0 || ipipe.RKVStatusOf(got) != ipipe.RKVStatusOK || string(got[1:]) != "v" {
 		t.Fatalf("facade RKV round trip: %q", got)
 	}
@@ -92,7 +92,7 @@ func TestFacadeDT(t *testing.T) {
 		Data: ipipe.DTEncodeTxn(txn), Size: 256,
 		OnResp: func(resp ipipe.Msg) { outcome, _ = ipipe.DTDecodeOutcome(resp.Data) },
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if outcome != ipipe.DTOutcomeCommitted || c.Committed != 1 {
 		t.Fatalf("outcome=%d committed=%d", outcome, c.Committed)
 	}
@@ -145,7 +145,7 @@ func TestFacadeRTAAndNF(t *testing.T) {
 			OnResp: func(resp ipipe.Msg) { verdict = ipipe.NFVerdictOf(resp.Data) },
 		})
 	})
-	cl.Eng.Run()
+	cl.Run()
 	if len(top) == 0 || top[0].Token != "hot" {
 		t.Fatalf("RTA top = %v", top)
 	}
