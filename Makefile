@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test check bench fmt race vet trace-smoke fault-smoke scale-smoke replay-smoke pdes-bench obs-smoke obs-gate obs-baseline
+.PHONY: build test check bench fmt race vet trace-smoke fault-smoke scale-smoke replay-smoke pdes-bench obs-smoke obs-gate obs-baseline lines
 
 build:
 	$(GO) build ./...
@@ -134,3 +134,15 @@ check: fmt vet race trace-smoke fault-smoke scale-smoke replay-smoke obs-smoke o
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/ ./internal/bench/
+
+# lines: print the prod line counts ROADMAP tracks — non-blank,
+# non-comment lines of the non-test Go files in each package, then the
+# total. Informational only; not part of check.
+LINES_PKGS = core sim bench fault
+
+lines:
+	@total=0; for p in $(LINES_PKGS); do \
+		n=$$(cat $$(ls internal/$$p/*.go | grep -v '_test\.go$$') | \
+			grep -cv '^[[:space:]]*\(//.*\)\?$$'); \
+		printf 'internal/%-8s %6d\n' $$p $$n; total=$$((total + n)); \
+	done; printf '%-17s %6d\n' total $$total

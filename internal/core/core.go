@@ -74,9 +74,8 @@ type Cluster struct {
 	tracer    *obs.Tracer
 	collector *obs.Collector
 	obsPrefix string
-	checker   *invariant.Checker
-	// checkers holds one invariant checker per partition (length 1 and
-	// identical to checker on classic clusters). See AttachCheckers.
+	// checkers holds one invariant checker per partition (length 1 on
+	// classic clusters). See AttachCheckers.
 	checkers []*invariant.Checker
 
 	// onMembership listeners observe node crash/recovery transitions

@@ -5,36 +5,20 @@ import (
 )
 
 // This file wires internal/invariant into the node runtime, mirroring
-// the obs wiring in obs.go: one checker per cluster, threaded into the
-// network fabric and into every current and future node's scheduler,
-// message rings, traffic gate, and DMO store.
-
-// EnableInvariants attaches a runtime invariant checker to the cluster.
-// Call at most once, before the engine runs (the FIFO and byte-shadow
-// audits must see every push/alloc from the start); a nil checker is
-// ignored. The fault injector picks the checker up at Install time and
-// stamps a fingerprint epoch at every fault activation/restoration.
-func (c *Cluster) EnableInvariants(chk *invariant.Checker) {
-	if chk == nil || len(c.checkers) > 0 {
-		return
-	}
-	if c.Partitions() > 1 {
-		panic("core: partitioned clusters take one checker per partition (AttachCheckers)")
-	}
-	c.checker = chk
-	c.checkers = []*invariant.Checker{chk}
-	c.Net.EnableInvariants(chk)
-	for _, name := range c.nodeNames() {
-		c.nodes[name].enableInvariants(chk)
-	}
-}
+// the obs wiring in obs.go: one checker per engine partition, threaded
+// into the network fabric and into every current and future node's
+// scheduler, message rings, traffic gate, and DMO store.
 
 // AttachCheckers creates and wires one invariant checker per engine
 // partition — the granularity conservation must be checked at under
 // PDES, since each partition's ledger only sees its own events (cross-
 // partition packets are reconciled by the handoff counters). A classic
 // cluster gets a single checker. Returns the checkers, in partition
-// order; idempotent.
+// order; idempotent, so a second call returns the same wired checkers.
+// Call before the engine runs (the FIFO and byte-shadow audits must see
+// every push/alloc from the start); nodes added later are wired too.
+// The fault injector picks the checkers up at Install time and stamps a
+// fingerprint epoch at every fault activation/restoration.
 func (c *Cluster) AttachCheckers() []*invariant.Checker {
 	if len(c.checkers) > 0 {
 		return c.checkers
@@ -45,7 +29,6 @@ func (c *Cluster) AttachCheckers() []*invariant.Checker {
 		c.checkers[p] = chk
 		c.Net.EnableInvariantsAt(p, chk)
 	}
-	c.checker = c.checkers[0]
 	for _, name := range c.nodeNames() {
 		n := c.nodes[name]
 		n.enableInvariants(c.checkers[n.Part])
@@ -53,18 +36,18 @@ func (c *Cluster) AttachCheckers() []*invariant.Checker {
 	return c.checkers
 }
 
-// Checker returns the cluster's invariant checker (nil when checking is
-// disabled — the nil receiver is the no-op state).
-func (c *Cluster) Checker() *invariant.Checker { return c.checker }
+// Checker returns partition 0's invariant checker — the cluster's only
+// one on a classic cluster (nil when checking is disabled — the nil
+// receiver is the no-op state).
+func (c *Cluster) Checker() *invariant.Checker { return c.CheckerAt(0) }
 
-// CheckerAt returns the invariant checker owning partition part (the
-// single cluster checker on classic clusters; nil when checking is
-// disabled — the nil receiver is the no-op state).
+// CheckerAt returns the invariant checker owning partition part (nil
+// when checking is disabled — the nil receiver is the no-op state).
 func (c *Cluster) CheckerAt(part int) *invariant.Checker {
 	if part >= 0 && part < len(c.checkers) {
 		return c.checkers[part]
 	}
-	return c.checker
+	return nil
 }
 
 // Checkers returns the attached checkers in partition order (length 1

@@ -2,7 +2,7 @@
 // declarative Schedule of faults — node crash/restart, NIC-complex
 // failure, NIC overload bursts, link loss, link flapping, network
 // partitions, accelerator stalls — into first-class simulator events on
-// the cluster's engine. Every activation and restoration is recorded in
+// the cluster's engines. Every activation and restoration is recorded in
 // a byte-deterministic log (same seed + same schedule ⇒ identical
 // bytes), and when tracing is enabled each fault appears as a span on a
 // dedicated "faults" trace group, so degraded regimes are visible right
@@ -217,36 +217,35 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 	return nil
 }
 
-// Injector is an installed schedule: its events are on the engine (or,
-// on a partitioned cluster, split between partition engines and the
-// group's window-boundary barrier queue), its trace lanes are
-// registered, and its activation log fills in as the run progresses.
+// Injector is an installed schedule: its arms are on the cluster's
+// group (barrier arms through sim.Group.AtBarrier, local arms on the
+// owning partition's engine), its trace lanes are registered, and its
+// activation log fills in as the run progresses.
 type Injector struct {
-	cl  *core.Cluster
-	eng *sim.Engine
-	g   *sim.Group // non-nil on partitioned clusters
-	tr  *obs.Tracer
-	// chks, on partitioned clusters, holds every partition's checker:
-	// cluster-wide barrier arms epoch all of them at the barrier time.
+	cl *core.Cluster
+	// chks holds every partition's checker: a barrier arm epochs all of
+	// them at its arm time.
 	chks []*invariant.Checker
+	// barrierTrack is the "injector" lane of barrier arms, drawn through
+	// partition 0's sink.
+	barrierTrack obs.TrackID
 
-	// srcs holds one log/counter/trace slot per emitting source:
-	// srcs[0] is the classic engine (or, under PDES, the coordinator
-	// running barrier arms), srcs[1+p] is partition p running its local
-	// arms. Each slot is only ever written by its owning goroutine —
-	// the coordinator between windows, partition p inside its own
-	// window — so the injector needs no locks; reads (Log, Injected,
-	// Active) are for after the run, like every other counter.
+	// srcs holds one log/counter/trace slot per partition. A local arm
+	// uses its owning partition's slot, a barrier arm partition 0's.
+	// Each slot has one writer at a time — partition p inside its own
+	// window, barrier arms only between windows — so the injector needs
+	// no locks; reads (Log, Injected, Active) are for after the run, like
+	// every other counter.
 	srcs []injSrc
 }
 
-// injSrc is one source's private injector state.
+// injSrc is one partition's private injector state.
 type injSrc struct {
-	part  int16 // -1 for the coordinator/classic source
+	part  int16
 	eng   *sim.Engine
-	chk   *invariant.Checker // owning checker (nil for the PDES coordinator)
+	chk   *invariant.Checker
 	sink  *obs.Sink
-	track obs.TrackID
+	track obs.TrackID // the partition's "injector-p<part>" lane for local arms
 
 	injected int
 	active   int
@@ -255,9 +254,10 @@ type injSrc struct {
 }
 
 // logEntry is one activation-log line with its deterministic sort key:
-// merged output is ordered by (time, source, per-source seq), which is
-// a pure function of the simulation — barrier actions at t sort before
-// partition-local activity at t, matching their execution order.
+// merged output is ordered by (time, partition, per-slot seq), a pure
+// function of the simulation. Each slot logs in execution order; on a
+// partitioned cluster barrier arms (partition 0's slot) run before
+// every same-time event, so they also sort first at t.
 type logEntry struct {
 	t    sim.Time
 	part int16
@@ -266,10 +266,11 @@ type logEntry struct {
 }
 
 // barrierArm reports whether the fault kind mutates cluster-wide state
-// (membership, the network's loss and blocked-link tables) and must run
-// as a window-boundary barrier action on a partitioned cluster. The
-// remaining kinds touch only the owning node's partition-local state
-// and run on its partition engine.
+// (membership, the network's loss and blocked-link tables) and so is a
+// sim.Group.AtBarrier action: a window-boundary action on a
+// partitioned cluster, an engine event on a classic one. The remaining
+// kinds touch only the owning node's partition-local state and run on
+// its partition engine.
 func (f Fault) barrierArm() bool {
 	switch f.Kind {
 	case NodeCrash, LinkLoss, LinkFlap, Partition:
@@ -278,44 +279,33 @@ func (f Fault) barrierArm() bool {
 	return false
 }
 
-// Install validates the schedule and schedules every fault. On a
-// classic cluster every fault is an engine event. On a partitioned
-// (PDES) cluster, cluster-wide arms (crash, loss, flap, partition cuts)
-// become sim.Group.AtBarrier window-boundary actions — they mutate
-// shared state between conservative windows, race-free and
-// deterministically at any worker count — while partition-local arms
-// (overload, accel stall, NIC-down) are scheduled on the owning
-// partition's engine, with jitter drawn from that partition's seeded
-// PRNG stream. A mis-built schedule (unknown node, non-positive window,
-// start before the engine's current time) is rejected with a
-// *ScheduleError before anything reaches the engine. Installing an
-// empty schedule is allowed and yields an injector that never fires.
+// Install validates the schedule and schedules every fault one way,
+// whatever the cluster's partition count. Cluster-wide arms (crash,
+// loss, flap, partition cuts) are sim.Group.AtBarrier actions: on a
+// partitioned (PDES) cluster they mutate shared state between
+// conservative windows, race-free and deterministically at any worker
+// count, and on a classic cluster they are plain engine events.
+// Partition-local arms (overload, accel stall, NIC-down) are events on
+// the owning partition's engine. Jitter comes from the seeded PRNG of
+// the partition whose slot the arm logs in: partition 0 for barrier
+// arms, the owning partition for local arms. A mis-built schedule
+// (unknown node, non-positive window, start before the engine's current
+// time) is rejected with a *ScheduleError before anything reaches the
+// engine. Installing an empty schedule is allowed and yields an
+// injector that never fires.
 func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	if err := s.Validate(cl); err != nil {
 		return nil, err
 	}
-	in := &Injector{cl: cl, eng: cl.Eng, tr: cl.Tracer()}
-	parts := 1
-	if cl.Partitions() > 1 {
-		in.g = cl.Group
-		in.chks = cl.Checkers()
-		parts = cl.Partitions()
-	}
-	nsrc := 1
-	if in.g != nil {
-		nsrc = 1 + parts
-	}
-	in.srcs = make([]injSrc, nsrc)
-	in.srcs[0] = injSrc{part: -1, eng: cl.Eng, sink: in.tr.Sink(0), track: obs.NoTrack}
-	if in.g == nil {
-		in.srcs[0].chk = cl.Checker()
-	}
-	for p := 1; p < nsrc; p++ {
+	tr := cl.Tracer()
+	in := &Injector{cl: cl, chks: cl.Checkers(), barrierTrack: obs.NoTrack}
+	in.srcs = make([]injSrc, cl.Partitions())
+	for p := range in.srcs {
 		in.srcs[p] = injSrc{
-			part:  int16(p - 1),
-			eng:   in.g.Engine(p - 1),
-			chk:   cl.CheckerAt(p - 1),
-			sink:  in.tr.Sink(p - 1),
+			part:  int16(p),
+			eng:   cl.Group.Engine(p),
+			chk:   cl.CheckerAt(p),
+			sink:  tr.Sink(p),
 			track: obs.NoTrack,
 		}
 	}
@@ -326,28 +316,25 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	faults := append([]Fault(nil), s.Faults...)
 	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At < faults[j].At })
 
-	// Trace lanes (coordinator-only registration, at install): the
-	// classic/barrier lane, plus one per partition owning local arms.
-	if in.tr.Enabled() && len(faults) > 0 {
-		grp := in.tr.Group(cl.ObsPrefix() + "faults")
-		needCoord := in.g == nil
-		needPart := make([]bool, parts)
+	// Trace lanes (registered at install): the barrier-arm lane, plus
+	// one per partition owning local arms.
+	if tr.Enabled() && len(faults) > 0 {
+		grp := tr.Group(cl.ObsPrefix() + "faults")
+		needBarrier := false
+		needPart := make([]bool, len(in.srcs))
 		for _, f := range faults {
-			if in.g == nil {
-				break
-			}
 			if f.barrierArm() {
-				needCoord = true
+				needBarrier = true
 			} else {
-				needPart[cl.Node(f.Node).Part] = true
+				needPart[in.srcOf(f)] = true
 			}
 		}
-		if needCoord {
-			in.srcs[0].track = in.tr.NewTrack(grp, "injector")
+		if needBarrier {
+			in.barrierTrack = tr.NewTrack(grp, "injector")
 		}
-		for p := 0; p < parts && in.g != nil; p++ {
-			if needPart[p] {
-				in.srcs[1+p].track = in.tr.NewTrack(grp, fmt.Sprintf("injector-p%d", p))
+		for p, need := range needPart {
+			if need {
+				in.srcs[p].track = tr.NewTrack(grp, fmt.Sprintf("injector-p%d", p))
 			}
 		}
 	}
@@ -355,32 +342,35 @@ func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	for _, f := range faults {
 		f := f
 		start := f.At
-		if in.g == nil {
-			if f.Jitter > 0 {
-				start += sim.Time(in.eng.Rand().Float64() * float64(f.Jitter))
-			}
-			in.eng.At(start, func() { in.activate(0, f, start) })
-			continue
-		}
-		if f.barrierArm() {
-			// Coordinator jitter stream: partition 0's engine PRNG —
-			// deterministic because install order is the stable sort.
-			if f.Jitter > 0 {
-				start += sim.Time(in.eng.Rand().Float64() * float64(f.Jitter))
-			}
-			in.g.AtBarrier(start, func() { in.activateBarrier(f, start) })
-			continue
-		}
-		p := cl.Node(f.Node).Part
 		if f.Jitter > 0 {
-			start += sim.Time(in.g.Engine(p).Rand().Float64() * float64(f.Jitter))
+			start += sim.Time(in.srcs[in.srcOf(f)].eng.Rand().Float64() * float64(f.Jitter))
 		}
-		in.g.Engine(p).At(start, func() { in.activate(1+p, f, start) })
+		in.arm(f, start, func() { in.activate(f, start) })
 	}
 	return in, nil
 }
 
-// Injected counts fault activations so far, across all sources.
+// srcOf returns the slot a fault logs, counts and draws jitter in: the
+// owning node's partition for a local arm, partition 0 for a barrier
+// arm.
+func (in *Injector) srcOf(f Fault) int {
+	if f.barrierArm() {
+		return 0
+	}
+	return in.cl.Node(f.Node).Part
+}
+
+// arm schedules fn at t by the fault's class: a barrier arm through
+// Group.AtBarrier, a local arm on its owning partition's engine.
+func (in *Injector) arm(f Fault, t sim.Time, fn func()) {
+	if f.barrierArm() {
+		in.cl.Group.AtBarrier(t, fn)
+		return
+	}
+	in.srcs[in.srcOf(f)].eng.At(t, fn)
+}
+
+// Injected counts fault activations so far, across all slots.
 func (in *Injector) Injected() int {
 	n := 0
 	for i := range in.srcs {
@@ -389,7 +379,7 @@ func (in *Injector) Injected() int {
 	return n
 }
 
-// Active counts currently-active fault windows, across all sources.
+// Active counts currently-active fault windows, across all slots.
 func (in *Injector) Active() int {
 	n := 0
 	for i := range in.srcs {
@@ -399,10 +389,10 @@ func (in *Injector) Active() int {
 }
 
 // Log returns the activation log: one line per fault start and end,
-// with virtual timestamps, merged across sources in (time, source,
-// seq) order. Byte-deterministic for a given seed and schedule at any
-// PDES worker count; on classic clusters the merge is the identity.
-// Call between runs, not from inside one.
+// with virtual timestamps, merged across partition slots in (time,
+// partition, seq) order. Byte-deterministic for a given seed and
+// schedule at any PDES worker count; on classic clusters the merge is
+// the identity. Call between runs, not from inside one.
 func (in *Injector) Log() []string {
 	var all []logEntry
 	for i := range in.srcs {
@@ -427,7 +417,7 @@ func (in *Injector) Log() []string {
 // Fingerprint joins the log into one comparable string.
 func (in *Injector) Fingerprint() string { return strings.Join(in.Log(), "\n") }
 
-// logAt appends a log line to the source's private vector, stamped for
+// logAt appends a log line to the slot's private vector, stamped for
 // the deterministic merge.
 func (in *Injector) logAt(src int, t sim.Time, text string) {
 	s := &in.srcs[src]
@@ -435,66 +425,54 @@ func (in *Injector) logAt(src int, t sim.Time, text string) {
 	s.log = append(s.log, logEntry{t: t, part: s.part, seq: s.seq, text: text})
 }
 
-// activate applies a fault on its owning engine (the classic engine, or
-// a partition engine for local arms) and schedules its restoration.
-func (in *Injector) activate(src int, f Fault, start sim.Time) {
-	revert := in.apply(src, f, start)
+// activate applies a fault and arms its restoration the way its start
+// was armed. Log lines and epochs carry the arm time: under PDES a
+// barrier arm runs with partition clocks one tick behind it.
+func (in *Injector) activate(f Fault, start sim.Time) {
+	src := in.srcOf(f)
 	s := &in.srcs[src]
+	revert := in.apply(src, f, start)
 	s.injected++
 	s.active++
-	in.logAt(src, start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
-	s.chk.Epoch("+" + f.label())
+	label := f.label()
+	in.logAt(src, start, fmt.Sprintf("t=%d +%s", int64(start), label))
+	in.epoch(f, s.chk, "+"+label, start)
 	end := start + f.Dur
+	track := s.track
+	if f.barrierArm() {
+		track = in.barrierTrack
+	}
 	// The span is emitted at activation (the window is known up front):
 	// per-lane timestamps then stay monotonic even when windows overlap.
-	s.sink.Span(s.track, f.label(), start, end, obs.Args{})
-	s.eng.At(end, func() {
+	s.sink.Span(track, label, start, end, obs.Args{})
+	in.arm(f, end, func() {
 		if revert != nil {
 			revert()
 		}
 		s.active--
-		in.logAt(src, end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
-		s.chk.Epoch("-" + f.label())
+		in.logAt(src, end, fmt.Sprintf("t=%d -%s", int64(end), label))
+		in.epoch(f, s.chk, "-"+label, end)
 	})
 }
 
-// activateBarrier applies a cluster-wide fault between conservative
-// windows and chains its restoration as another barrier action. Log
-// lines and epochs are stamped with the barrier time (partition clocks
-// sit one tick behind it during the action).
-func (in *Injector) activateBarrier(f Fault, start sim.Time) {
-	revert := in.applyBarrier(f, start)
-	s := &in.srcs[0]
-	s.injected++
-	s.active++
-	in.logAt(0, start, fmt.Sprintf("t=%d +%s", int64(start), f.label()))
-	in.epochAll("+"+f.label(), start)
-	end := start + f.Dur
-	s.sink.Span(s.track, f.label(), start, end, obs.Args{})
-	in.g.AtBarrier(end, func() {
-		if revert != nil {
-			revert()
-		}
-		s.active--
-		in.logAt(0, end, fmt.Sprintf("t=%d -%s", int64(end), f.label()))
-		in.epochAll("-"+f.label(), end)
-	})
-}
-
-// epochAll stamps a fault epoch on every partition's ledger at the
-// barrier time: a cluster-wide mutation is visible to all of them.
-func (in *Injector) epochAll(label string, t sim.Time) {
-	for _, chk := range in.chks {
+// epoch stamps a fault edge at t on the ledgers that see it: every
+// partition's for a barrier arm (a cluster-wide mutation), the owning
+// partition's (chk) for a local arm.
+func (in *Injector) epoch(f Fault, chk *invariant.Checker, label string, t sim.Time) {
+	if !f.barrierArm() {
 		chk.EpochAt(label, t)
+		return
+	}
+	for _, c := range in.chks {
+		c.EpochAt(label, t)
 	}
 }
 
-// apply performs a fault's effect and returns its undo (nil when the
-// effect self-expires). Engine-path only — on a partitioned cluster
-// this runs solely for partition-local arms, on the owning engine.
+// apply performs a fault's effect from its slot src and returns its
+// undo (nil when the effect self-expires). Flap toggles are armed at
+// explicit times, like every other barrier-arm edge.
 func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
 	net := in.cl.Net
-	s := &in.srcs[src]
 	switch f.Kind {
 	case NodeCrash:
 		n := in.cl.Node(f.Node)
@@ -519,24 +497,25 @@ func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
 			}
 		}
 		half := flapHalf(f)
-		end := s.eng.Now() + f.Dur
+		end := start + f.Dur
 		down := true
 		cut(true)
-		var toggle func()
-		toggle = func() {
-			if s.eng.Now() >= end {
+		sink := in.srcs[src].sink
+		var toggle func(at sim.Time)
+		toggle = func(at sim.Time) {
+			if at >= end {
 				return
 			}
 			down = !down
 			cut(down)
 			if down {
-				s.sink.Instant(s.track, "flap down "+f.Node, s.eng.Now())
+				sink.Instant(in.barrierTrack, "flap down "+f.Node, at)
 			} else {
-				s.sink.Instant(s.track, "flap up "+f.Node, s.eng.Now())
+				sink.Instant(in.barrierTrack, "flap up "+f.Node, at)
 			}
-			s.eng.After(half, toggle)
+			in.arm(f, at+half, func() { toggle(at + half) })
 		}
-		s.eng.After(half, toggle)
+		in.arm(f, start+half, func() { toggle(start + half) })
 		return func() { cut(false) }
 	case Partition:
 		return in.applyCut(f)
@@ -546,53 +525,6 @@ func (in *Injector) apply(src int, f Fault, start sim.Time) func() {
 			in.logAt(src, start, fmt.Sprintf("t=%d skip %s (no unit)", int64(start), f.label()))
 		}
 		return nil // the station drains the stall by itself
-	}
-	return nil
-}
-
-// applyBarrier performs a cluster-wide fault's effect from a barrier
-// action and returns its undo. Flap toggles chain as further barrier
-// actions at explicit times (no engine owns them).
-func (in *Injector) applyBarrier(f Fault, start sim.Time) func() {
-	net := in.cl.Net
-	switch f.Kind {
-	case NodeCrash:
-		n := in.cl.Node(f.Node)
-		n.Fail()
-		return n.Recover
-	case LinkLoss:
-		net.SetNodeLoss(f.Node, f.Rate)
-		return func() { net.SetNodeLoss(f.Node, 0) }
-	case LinkFlap:
-		others := in.peersOf(f.Node)
-		cut := func(on bool) {
-			for _, o := range others {
-				net.SetBlocked(f.Node, o, on)
-			}
-		}
-		half := flapHalf(f)
-		end := start + f.Dur
-		down := true
-		cut(true)
-		s := &in.srcs[0]
-		var toggle func(at sim.Time)
-		toggle = func(at sim.Time) {
-			if at >= end {
-				return
-			}
-			down = !down
-			cut(down)
-			if down {
-				s.sink.Instant(s.track, "flap down "+f.Node, at)
-			} else {
-				s.sink.Instant(s.track, "flap up "+f.Node, at)
-			}
-			in.g.AtBarrier(at+half, func() { toggle(at + half) })
-		}
-		in.g.AtBarrier(start+half, func() { toggle(start + half) })
-		return func() { cut(false) }
-	case Partition:
-		return in.applyCut(f)
 	}
 	return nil
 }
@@ -610,8 +542,7 @@ func flapHalf(f Fault) sim.Time {
 }
 
 // applyCut severs the fault's group from every other attached endpoint
-// and returns the heal. Pure blocked-table writes — shared between the
-// classic engine path and the barrier path.
+// and returns the heal. Pure blocked-table writes.
 func (in *Injector) applyCut(f Fault) func() {
 	net := in.cl.Net
 	group := map[string]bool{}

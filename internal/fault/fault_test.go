@@ -376,3 +376,62 @@ func TestPartitionedCrashDropsTraffic(t *testing.T) {
 		t.Fatal("n1 still down after the window")
 	}
 }
+
+// tieSchedule puts barrier and local arms on the same instants: crash
+// n0 and overload n1 both start at 1ms, and four edges land at 2ms (the
+// flap and NIC-down starts, the crash and overload ends).
+func tieSchedule() Schedule {
+	return Schedule{Faults: []Fault{
+		Crash("n0", sim.Millisecond, sim.Millisecond),
+		Overload("n1", sim.Millisecond, sim.Millisecond, 2),
+		Flap("n2", 2*sim.Millisecond, sim.Millisecond, 400*sim.Microsecond),
+		NICFail("n1", 2*sim.Millisecond, sim.Millisecond),
+	}}
+}
+
+// TestTieScheduleLog pins the activation log of same-time barrier and
+// local arms. On a classic cluster every arm is an engine event, so the
+// log is execution order: schedule order for the starts installed up
+// front, then the ends armed at 1ms. On a partitioned cluster barrier
+// arms run before every same-time event and log in partition 0's slot,
+// so the log is the same at 2 and 4 partitions.
+func TestTieScheduleLog(t *testing.T) {
+	run := func(parts int) string {
+		cl, nodes, _ := partCluster(t, 3, 4, parts)
+		in, err := Install(cl, tieSchedule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sprayAll(cl, nodes, 4*sim.Millisecond, 100*sim.Microsecond)
+		cl.RunUntil(5 * sim.Millisecond)
+		return in.Fingerprint()
+	}
+	classic := strings.Join([]string{
+		"t=1000000 +crash n0",
+		"t=1000000 +overload n1 x2",
+		"t=2000000 +flap n2",
+		"t=2000000 +nic-down n1",
+		"t=2000000 -crash n0",
+		"t=2000000 -overload n1 x2",
+		"t=3000000 -flap n2",
+		"t=3000000 -nic-down n1",
+	}, "\n")
+	if got := run(1); got != classic {
+		t.Fatalf("classic tie log:\n%s\nwant:\n%s", got, classic)
+	}
+	partitioned := strings.Join([]string{
+		"t=1000000 +crash n0",
+		"t=1000000 +overload n1 x2",
+		"t=2000000 +flap n2",
+		"t=2000000 -crash n0",
+		"t=2000000 +nic-down n1",
+		"t=2000000 -overload n1 x2",
+		"t=3000000 -flap n2",
+		"t=3000000 -nic-down n1",
+	}, "\n")
+	for _, parts := range []int{2, 4} {
+		if got := run(parts); got != partitioned {
+			t.Fatalf("tie log at %d partitions:\n%s\nwant:\n%s", parts, got, partitioned)
+		}
+	}
+}

@@ -185,21 +185,12 @@ func NewPartitioned(g *sim.Group) *Network {
 // partitioned networks).
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// EnableInvariants attaches the message-conservation checker: every
-// packet entering the fabric must eventually be delivered or counted
-// into a drop bucket (injected = delivered + dropped + in-flight).
-// Partitioned networks need one checker per partition — use
-// EnableInvariantsAt.
-func (n *Network) EnableInvariants(chk *invariant.Checker) {
-	if n.group != nil {
-		panic("netsim: partitioned networks take one checker per partition (EnableInvariantsAt)")
-	}
-	n.EnableInvariantsAt(0, chk)
-}
-
-// EnableInvariantsAt attaches the conservation checker for one
-// partition's ledger. Cross-partition packets are reconciled between
-// ledgers with handoff counters at the switch boundary.
+// EnableInvariantsAt attaches the message-conservation checker for one
+// partition's ledger: every packet entering the fabric must eventually
+// be delivered or counted into a drop bucket (injected = delivered +
+// dropped + in-flight). Cross-partition packets are reconciled between
+// ledgers with handoff counters at the switch boundary. A classic
+// network has one ledger, partition 0's.
 func (n *Network) EnableInvariantsAt(part int, chk *invariant.Checker) {
 	if chk == nil {
 		return

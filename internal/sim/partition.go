@@ -128,12 +128,13 @@ type Group struct {
 	// send/receive pair orders the accesses).
 	limit Time
 
-	// barriers is the coordinator-side action queue (see AtBarrier):
-	// cluster-wide mutations that run between conservative windows, when
-	// no partition is mid-window and every inbox is drained. floor is
-	// the commit point — every event strictly before it has executed —
-	// so a new action before the floor is a model bug and panics. bseq
-	// totally orders same-time actions by registration.
+	// barriers is the coordinator-side action queue of a multi-partition
+	// group (see AtBarrier; a single-partition group puts its actions on
+	// its engine): cluster-wide mutations that run between conservative
+	// windows, when no partition is mid-window and every inbox is
+	// drained. floor is the commit point — every event strictly before
+	// it has executed — so a new action before the floor is a model bug
+	// and panics. bseq totally orders same-time actions by registration.
 	barriers []barrierAction
 	bseq     uint64
 	floor    Time
@@ -215,18 +216,25 @@ func (g *Group) OnRound(fn func(limit Time)) {
 	g.onRound = append(g.onRound, fn)
 }
 
-// AtBarrier schedules fn to run on the coordinator at virtual time at,
-// between conservative windows: when it runs, every partition has
-// executed exactly the events strictly before at, every inbox is
-// drained, and no window goroutine is live — so fn may mutate
-// cluster-wide shared state (network loss tables, blocked-link maps,
-// node up/down flags) race-free and deterministically at any worker
-// count. Actions at the same time run in registration order, and run
-// *before* any simulation event at that same timestamp (the window
-// limit is capped at the earliest pending barrier time). Partition
-// clocks are normalized to at-1 first, so fn may schedule follow-on
-// engine events at or after at, and may chain further AtBarrier calls
-// at ≥ at.
+// AtBarrier schedules fn to run at virtual time at as a cluster-wide
+// mutation, sequenced the one way the group's shape allows.
+//
+// On a single-partition group (a classic cluster) it is
+// Engine(0).At(at, fn): there are no windows to run between, so fn is
+// an ordinary engine event, ordered among same-time events by
+// registration and seeing Now() == at.
+//
+// On a multi-partition group fn runs on the coordinator between
+// conservative windows: when it runs, every partition has executed
+// exactly the events strictly before at, every inbox is drained, and no
+// window goroutine is live — so fn may mutate cluster-wide shared state
+// (network loss tables, blocked-link maps, node up/down flags)
+// race-free and deterministically at any worker count. Actions at the
+// same time run in registration order, and run *before* any simulation
+// event at that same timestamp (the window limit is capped at the
+// earliest pending barrier time). Partition clocks are normalized to
+// at-1 first, so fn may schedule follow-on engine events at or after
+// at, and may chain further AtBarrier calls at ≥ at.
 //
 // Call AtBarrier before RunUntil or from coordinator context (another
 // barrier action) — never from inside window execution, where it would
@@ -237,6 +245,10 @@ func (g *Group) OnRound(fn func(limit Time)) {
 func (g *Group) AtBarrier(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil barrier action")
+	}
+	if len(g.engs) == 1 {
+		g.engs[0].At(at, fn)
+		return
 	}
 	if at < g.floor {
 		panic(fmt.Sprintf("sim: barrier action at %v is in the past (group floor %v)", at, g.floor))
@@ -419,23 +431,9 @@ func (g *Group) Run(workers int) { g.RunUntil(MaxTime, workers) }
 // results.
 func (g *Group) RunUntil(deadline Time, workers int) {
 	if len(g.engs) == 1 {
-		// Degenerate group: no windows, but barrier actions keep their
-		// ordering contract — run events strictly before each action
-		// time, then the action, then continue.
-		e := g.engs[0]
-		for {
-			B := g.nextBarrier()
-			if B > deadline || B == MaxTime {
-				break
-			}
-			if B > 0 {
-				e.RunUntil(B - 1)
-			}
-			g.floor = B
-			g.runBarrierActions(B)
-		}
-		e.RunUntil(deadline)
-		g.bumpFloor(deadline)
+		// No windows: barrier actions are engine events (AtBarrier) and
+		// deferrals run inline (DeferBarrier).
+		g.engs[0].RunUntil(deadline)
 		return
 	}
 	if g.lookahead <= 0 {

@@ -237,6 +237,31 @@ func TestAtBarrierOrderingContract(t *testing.T) {
 	}
 }
 
+// TestAtBarrierSinglePartitionIsEngineEvent pins the one-partition
+// contract: with no windows to run between, AtBarrier is Engine(0).At,
+// so the action runs after an engine event registered earlier at the
+// same time, before one registered later, and sees Now() == at.
+func TestAtBarrierSinglePartitionIsEngineEvent(t *testing.T) {
+	g := NewGroup(1, 1)
+	const B = 10 * Microsecond
+	e := g.Engine(0)
+	var trace []string
+	e.At(B-1, func() { trace = append(trace, "event@B-1") })
+	e.At(B, func() { trace = append(trace, "event@B") })
+	g.AtBarrier(B, func() {
+		trace = append(trace, "barrier")
+		if now := e.Now(); now != B {
+			t.Errorf("barrier action saw Now() = %v, want %v", now, B)
+		}
+	})
+	e.At(B, func() { trace = append(trace, "later-event@B") })
+	g.RunUntil(20*Microsecond, 1)
+	want := []string{"event@B-1", "event@B", "barrier", "later-event@B"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("single-partition barrier ordering:\n got %v\nwant %v", trace, want)
+	}
+}
+
 // TestAtBarrierSameTimeAndChaining: same-time actions run in
 // registration order; an action chaining another at the same instant is
 // picked up in the same pass, and a later chain runs at its own time.

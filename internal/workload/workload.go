@@ -149,6 +149,24 @@ type Request struct {
 // "effectively unbounded" intent without the overflow.
 const MaxUncappedTimeout = 10 * sim.Second
 
+// GrowTimeout applies capped exponential backoff to a retry interval:
+// t × backoff, saturated at ceil (MaxUncappedTimeout when ceil ≤ 0).
+// A backoff ≤ 1 keeps t fixed. The comparison is in float space:
+// converting an out-of-range float to sim.Time is implementation-
+// defined, so it clamps before the conversion, not after.
+func GrowTimeout(t sim.Time, backoff float64, ceil sim.Time) sim.Time {
+	if backoff <= 1 {
+		return t
+	}
+	if ceil <= 0 {
+		ceil = MaxUncappedTimeout
+	}
+	if next := float64(t) * backoff; next < float64(ceil) {
+		return sim.Time(next)
+	}
+	return ceil
+}
+
 // Send issues one request now. The response latency is recorded in Lat
 // when the reply lands. With Timeout set, lost requests are re-sent up
 // to Retries times; duplicate responses (a late original racing a
@@ -244,20 +262,7 @@ func (rq *request) fire() {
 		return
 	}
 	wait := rq.timeout
-	if r.Backoff > 1 {
-		ceil := r.MaxTimeout
-		if ceil <= 0 {
-			ceil = MaxUncappedTimeout
-		}
-		// Compare in float space: converting an out-of-range float to
-		// sim.Time is implementation-defined, so clamp before the
-		// conversion, not after.
-		if next := float64(rq.timeout) * r.Backoff; next < float64(ceil) {
-			rq.timeout = sim.Time(next)
-		} else {
-			rq.timeout = ceil
-		}
-	}
+	rq.timeout = GrowTimeout(rq.timeout, r.Backoff, r.MaxTimeout)
 	if rq.attempt < r.Retries {
 		rq.attempt++
 		cl.eng.AfterArg(wait, cl.retryFn, rq)

@@ -130,16 +130,15 @@ func NewMetricsCollector(c *Cluster, interval Duration) *Collector {
 	return obs.NewCollector(c.Eng, interval)
 }
 
-// NewInvariantChecker attaches a runtime invariant checker to the
-// cluster and returns it. Call before deploying applications and
-// running the engine (the FIFO and byte-accounting audits must observe
-// every push/alloc from the start); after Cluster.Run, call Finish to
-// evaluate the end-of-run conservation equalities, then inspect Err,
-// Violations, or Summary.
+// NewInvariantChecker attaches the cluster's runtime invariant checkers
+// (Cluster.AttachCheckers) and returns partition 0's — the only one on
+// a classic cluster. Repeated calls return the same wired checker. Call
+// before deploying applications and running the engine (the FIFO and
+// byte-accounting audits must observe every push/alloc from the start);
+// after Cluster.Run, call Finish to evaluate the end-of-run
+// conservation equalities, then inspect Err, Violations, or Summary.
 func NewInvariantChecker(c *Cluster) *InvariantChecker {
-	chk := invariant.New(c.Eng)
-	c.EnableInvariants(chk)
-	return chk
+	return c.AttachCheckers()[0]
 }
 
 // The four characterized SmartNIC models (Table 1).

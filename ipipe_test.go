@@ -38,6 +38,43 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestNewInvariantCheckerTwice: a second NewInvariantChecker call
+// returns the checker the cluster already wired, not a fresh one that
+// no layer reports to.
+func TestNewInvariantCheckerTwice(t *testing.T) {
+	cl := ipipe.NewCluster(1)
+	first := ipipe.NewInvariantChecker(cl)
+	second := ipipe.NewInvariantChecker(cl)
+	node := cl.AddNode(ipipe.NodeConfig{Name: "srv", NIC: ipipe.LiquidIOII_CN2350()})
+	echo := &ipipe.Actor{
+		ID: 1,
+		OnMessage: func(ctx ipipe.Ctx, m ipipe.Msg) ipipe.Duration {
+			ctx.Reply(m)
+			return 2 * ipipe.Microsecond
+		},
+	}
+	if err := node.Register(echo, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	client := ipipe.NewClient(cl, "cli", 10)
+	for i := 0; i < 10; i++ {
+		cl.Eng.At(ipipe.Duration(i)*10*ipipe.Microsecond, func() {
+			client.Send(ipipe.Request{Node: "srv", Dst: 1, Size: 512})
+		})
+	}
+	cl.Run()
+	second.Finish()
+	if second != first {
+		t.Fatal("second NewInvariantChecker returned a different checker than the wired one")
+	}
+	if second.Checks() == 0 {
+		t.Fatal("checker saw no invariant checks: not wired into the cluster")
+	}
+	if err := second.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFacadeRKV(t *testing.T) {
 	cl := ipipe.NewCluster(2)
 	var nodes []*ipipe.Node
