@@ -138,7 +138,7 @@ bench:
 # lines: print the prod line counts ROADMAP tracks — non-blank,
 # non-comment lines of the non-test Go files in each package, then the
 # total. Informational only; not part of check.
-LINES_PKGS = core sim bench fault
+LINES_PKGS = core sim bench fault mesh
 
 lines:
 	@total=0; for p in $(LINES_PKGS); do \

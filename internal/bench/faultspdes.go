@@ -4,21 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/actor"
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // The faults-pdes / qos-storm-pdes experiments certify the
-// window-boundary fault path: a partitioned (PDES) echo mesh takes the
-// full fault-arm matrix — cluster-wide barrier arms (crash, loss, flap,
-// partition cut) running as sim.Group.AtBarrier actions, partition-local
-// arms (NIC-down, overload, accelerator stall) on their owning engines —
-// while retrying clients ride out the windows. Every column is
+// window-boundary fault path: a partitioned (PDES) echo mesh, built by
+// mesh.Build (see pdesMesh), takes the full fault-arm matrix —
+// cluster-wide barrier arms (crash, loss, flap, partition cut) running
+// as sim.Group.AtBarrier actions, partition-local arms (NIC-down,
+// overload, accelerator stall) on their owning engines — while retrying
+// clients ride out the windows. Every column is
 // deterministic and byte-identical at any window worker count, which is
 // what the `-pdes` rows of `make replay-smoke` replay along the PDES axis.
 
@@ -27,52 +26,59 @@ func init() {
 	register("qos-storm-pdes", "Tenant storm + fault storm on the partitioned lane mesh: admission and lanes under window-boundary faults", qosStormPDES)
 }
 
-// pdesMeshSize resolves the mesh geometry shared by the PDES fault
-// experiments: node count from quick mode, partition count from -pdes
-// (default 4), clamped to the node count.
-func pdesMeshSize(opts Options) (nodes, parts int, window sim.Time) {
-	nodes, window = 12, 6*sim.Millisecond
+// pdesMesh builds the partitioned echo mesh (mesh.Build) shared by
+// faults-pdes, qos-storm-pdes and migrate-pdes: 12 nodes over a 6ms
+// window (8 over 3ms in quick mode), 1µs of NIC work per echo, -pdes
+// partitions (default 4). objectBytes is mesh.Config.ObjectBytes: 0
+// pins every actor to its NIC, a positive size makes them migratable.
+func pdesMesh(opts Options, objectBytes int) (*mesh.Mesh, mesh.Config) {
+	cfg := mesh.Config{
+		Nodes: 12, Window: 6 * sim.Millisecond,
+		Partitions: meshParts(opts, 4), Workers: opts.PDESWorkers, Seed: opts.seed(),
+		ServiceNs: 1000, ObjectBytes: objectBytes,
+	}
 	if opts.Quick {
-		nodes, window = 8, 3*sim.Millisecond
+		cfg.Nodes, cfg.Window = 8, 3*sim.Millisecond
 	}
-	parts = opts.PDESParts
-	if parts <= 0 {
-		parts = 4
-	}
-	if parts > nodes {
-		parts = nodes
-	}
-	return nodes, parts, window
+	m := mesh.Build(&cfg)
+	return m, cfg
 }
 
-// buildPDESMesh creates the partitioned echo mesh: one NIC-pinned echo
-// actor per node (ID 1+i), one client per node on the node's partition.
-func buildPDESMesh(opts Options, nodes, parts int) (*core.Cluster, []*core.Node, []*workload.Client) {
-	cl := core.NewPartitionedCluster(opts.seed(), parts)
-	cl.SetPDESWorkers(opts.PDESWorkers)
-	var nn []*core.Node
-	for i := 0; i < nodes; i++ {
-		n := cl.AddNode(core.Config{
-			Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-			LinkGbps: 10, DisableMigration: true,
+// meshParts resolves a partitioned experiment's partition count: -pdes
+// when given, def otherwise (mesh.Build clamps it to the node count).
+func meshParts(opts Options, def int) int {
+	if opts.PDESParts > 0 {
+		return opts.PDESParts
+	}
+	return def
+}
+
+// retryTraffic has client i send a retrying request to node i+1's echo
+// actor every 10µs over the window; the retries ride out fault windows,
+// and MaxTimeout 0 exercises the uncapped-backoff clamp. The returned
+// func counts requests that exhausted their retries (each client's
+// count is written only by its partition engine).
+func retryTraffic(m *mesh.Mesh, window sim.Time) (gaveUp func() uint64) {
+	gave := make([]uint64, len(m.Clients))
+	for i, c := range m.Clients {
+		dst := (i + 1) % len(m.Nodes)
+		onGiveUp := func() { gave[i]++ }
+		every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
+			c.Send(workload.Request{
+				Node: m.Nodes[dst].Name, Dst: actor.ID(1 + dst),
+				Size: 256, FlowID: uint64(i)<<32 | k,
+				Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
+				OnGiveUp: onGiveUp,
+			})
 		})
-		a := &actor.Actor{
-			ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i), PinNIC: true,
-			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-				ctx.Reply(m)
-				return sim.Microsecond
-			},
-		}
-		if err := n.Register(a, true, 1<<20); err != nil {
-			panic(err)
-		}
-		nn = append(nn, n)
 	}
-	clients := make([]*workload.Client, nodes)
-	for i := 0; i < nodes; i++ {
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, nn[i].Part)
+	return func() uint64 {
+		var n uint64
+		for _, g := range gave {
+			n += g
+		}
+		return n
 	}
-	return cl, nn, clients
 }
 
 // pdesFaultSchedule covers every arm class, scaled to the run window:
@@ -96,71 +102,25 @@ func pdesFaultSchedule(window sim.Time) fault.Schedule {
 }
 
 func faultsPDES(opts Options) *Result {
-	nodes, parts, window := pdesMeshSize(opts)
-
-	type outcome struct {
-		nodes, parts             int
-		sent, answered, rejected uint64
-		retried, gaveUp          uint64
-		p50, p99                 float64
-		injected, activeEnd      int
-		logLines                 int
-		rounds, crossed          uint64
+	m, cfg := pdesMesh(opts, 0)
+	cl := m.Cluster
+	in, err := fault.Install(cl, pdesFaultSchedule(cfg.Window))
+	if err != nil {
+		panic(err)
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildPDESMesh(opts, nodes, parts)
-		in, err := fault.Install(cl, pdesFaultSchedule(window))
-		if err != nil {
-			panic(err)
-		}
-
-		// gaveUp[i] is written only by client i's partition engine.
-		gaveUp := make([]uint64, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			dst := (i + 1) % nodes
-			every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
-				gi := i
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k,
-					// Retry rides out the fault windows; MaxTimeout 0
-					// exercises the uncapped-backoff clamp.
-					Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
-					OnGiveUp: func() { gaveUp[gi]++ },
-				})
-			})
-		}
-		cl.RunUntil(window + sim.Millisecond) // drain room for late retries
-		_ = nn
-
-		o := outcome{nodes: nodes, parts: parts,
-			injected: in.Injected(), activeEnd: in.Active(), logLines: len(in.Log())}
-		lat := stats.NewSample()
-		for i, c := range clients { // fixed order: deterministic merge
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.rejected += c.Rejected
-			o.retried += c.Retried
-			o.gaveUp += gaveUp[i]
-			lat.Merge(c.Lat)
-		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		return o
-	})
-	o := outs[0]
+	gaveUp := retryTraffic(m, cfg.Window)
+	cl.RunUntil(cfg.Window + sim.Millisecond) // drain room for late retries
+	t := m.Totals()
 
 	r := &Result{Header: []string{"metric", "value"}}
-	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))
-	r.Add("requests sent/answered", fmt.Sprintf("%d/%d", o.sent, o.answered))
-	r.Add("rejected (edge-shed)", o.rejected)
-	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", o.retried, o.gaveUp))
-	r.Add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", o.p50, o.p99))
-	r.Add("faults injected/active-at-end", fmt.Sprintf("%d/%d", o.injected, o.activeEnd))
-	r.Add("fault log lines", o.logLines)
-	r.Add("windows/crossed", fmt.Sprintf("%d/%d", o.rounds, o.crossed))
+	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", cfg.Nodes, cfg.Partitions))
+	r.Add("requests sent/answered", fmt.Sprintf("%d/%d", t.Sent, t.Received))
+	r.Add("rejected (edge-shed)", t.Rejected)
+	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", t.Retried, gaveUp()))
+	r.Add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", t.Lat.Percentile(50), t.Lat.Percentile(99)))
+	r.Add("faults injected/active-at-end", fmt.Sprintf("%d/%d", in.Injected(), in.Active()))
+	r.Add("fault log lines", len(in.Log()))
+	r.Add("windows/crossed", fmt.Sprintf("%d/%d", cl.Group.Rounds(), cl.Group.Crossed()))
 	r.Note("schedule: crash n000+n006(jittered), nic-down n001, 4x overload n002, 50%% loss n003, flap n004, CRC stall n005, cut [n000 n001]")
 	r.Note("barrier arms mutate shared state between conservative windows (sim.Group.AtBarrier); local arms run on the owning partition engine")
 	r.Note("accounting: rejected counts admission-denied requests (never sent); this mesh has no gates, so it is structurally 0")
@@ -172,93 +132,61 @@ func faultsPDES(opts Options) *Result {
 // classic-only) under a fault storm of barrier and local arms. The
 // client-edge accounting rows make the Sent/Rejected contract visible.
 func qosStormPDES(opts Options) *Result {
-	nodes, parts, window := pdesMeshSize(opts)
-
-	type outcome struct {
-		nodes, parts                int
-		sent, answered              uint64
-		cliRejected                 uint64
-		offered, admitted, rejected [2]uint64
-		enq, del, shed              [qos.NumLanes]uint64
-		backpressured               uint64
-		injected                    int
-		logLines                    int
-		rounds                      uint64
-	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildPDESMesh(opts, nodes, parts)
-		rt, err := qos.Install(cl, nn, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "even", RatePerSec: 250_000, Burst: 64},
-				{Name: "odd", RatePerSec: 100_000, Burst: 64},
-			},
-			Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
-		})
-		if err != nil {
-			panic(err)
-		}
-		in, err := fault.Install(cl, pdesFaultSchedule(window))
-		if err != nil {
-			panic(err)
-		}
-
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			rt.Bind(c)
-			tenant := uint16(i % 2)
-			dst := (i + 1) % nodes
-			// Even clients stay under budget; odd clients offer ~2.7x
-			// theirs, so their gates shed at the edge while faults churn
-			// the mesh underneath.
-			interval := 5 * sim.Microsecond
-			if tenant == 1 {
-				interval = 3700 * sim.Nanosecond
-			}
-			every(c.Eng(), 0, window, interval, func(k uint64) {
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k, Tenant: tenant,
-				})
-			})
-		}
-		cl.RunUntil(window)
-
-		o := outcome{nodes: nodes, parts: parts,
-			injected: in.Injected(), logLines: len(in.Log())}
-		for _, c := range clients {
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.cliRejected += c.Rejected
-		}
-		for t := 0; t < 2; t++ {
-			o.offered[t] = rt.OfferedTo(t)
-			o.admitted[t] = rt.AdmittedTo(t)
-			o.rejected[t] = rt.RejectedTo(t)
-		}
-		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		o.rounds = cl.Group.Rounds()
-		return o
+	m, cfg := pdesMesh(opts, 0)
+	cl := m.Cluster
+	rt, err := qos.Install(cl, m.Nodes, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "even", RatePerSec: 250_000, Burst: 64},
+			{Name: "odd", RatePerSec: 100_000, Burst: 64},
+		},
+		Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
 	})
-	o := outs[0]
+	if err != nil {
+		panic(err)
+	}
+	in, err := fault.Install(cl, pdesFaultSchedule(cfg.Window))
+	if err != nil {
+		panic(err)
+	}
+
+	for i, c := range m.Clients {
+		rt.Bind(c)
+		tenant := uint16(i % 2)
+		dst := (i + 1) % cfg.Nodes
+		// Even clients stay under budget; odd clients offer ~2.7x
+		// theirs, so their gates shed at the edge while faults churn
+		// the mesh underneath.
+		interval := 5 * sim.Microsecond
+		if tenant == 1 {
+			interval = 3700 * sim.Nanosecond
+		}
+		every(c.Eng(), 0, cfg.Window, interval, func(k uint64) {
+			c.Send(workload.Request{
+				Node: m.Nodes[dst].Name, Dst: actor.ID(1 + dst),
+				Size: 256, FlowID: uint64(i)<<32 | k, Tenant: tenant,
+			})
+		})
+	}
+	cl.RunUntil(cfg.Window)
+	t := m.Totals()
 
 	r := &Result{Header: []string{"metric", "value"}}
-	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))
+	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", cfg.Nodes, cfg.Partitions))
 	r.Add("client edge sent/rejected/offered", fmt.Sprintf("%d/%d/%d",
-		o.sent, o.cliRejected, o.sent+o.cliRejected))
-	r.Add("requests answered", o.answered)
-	for t, name := range []string{"even", "odd"} {
+		t.Sent, t.Rejected, t.Sent+t.Rejected))
+	r.Add("requests answered", t.Received)
+	for tn, name := range []string{"even", "odd"} {
 		r.Add(name+" offered/admitted/rejected",
-			fmt.Sprintf("%d/%d/%d", o.offered[t], o.admitted[t], o.rejected[t]))
+			fmt.Sprintf("%d/%d/%d", rt.OfferedTo(tn), rt.AdmittedTo(tn), rt.RejectedTo(tn)))
 	}
+	enq, del, shed, backpressured := rt.LaneTotals()
 	for l := qos.Lane(0); l < qos.NumLanes; l++ {
-		r.Add(l.String()+" enq/del/shed",
-			fmt.Sprintf("%d/%d/%d", o.enq[l], o.del[l], o.shed[l]))
+		r.Add(l.String()+" enq/del/shed", fmt.Sprintf("%d/%d/%d", enq[l], del[l], shed[l]))
 	}
-	r.Add("data backpressured", o.backpressured)
-	r.Add("faults injected", o.injected)
-	r.Add("fault log lines", o.logLines)
-	r.Add("windows", o.rounds)
+	r.Add("data backpressured", backpressured)
+	r.Add("faults injected", in.Injected())
+	r.Add("fault log lines", len(in.Log()))
+	r.Add("windows", cl.Group.Rounds())
 	r.Note("accounting: edge sent excludes admission-denied requests; offered = sent + rejected (workload.Client contract), and the gate ledger's rejected matches the client edge")
 	r.Note("fault storm: the full faults-pdes arm matrix on the same mesh; the SLO controller stays off (classic-only)")
 	return r

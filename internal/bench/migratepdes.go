@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/actor"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/spec"
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // The migrate-pdes experiment certifies §3.2.5 migration on a
-// partitioned (PDES) cluster: every node force-pushes its actor to the
-// host mid-window, fault arms (a crash and a NIC-complex failure) land
+// partitioned (PDES) cluster — the mesh.Build echo mesh with migratable
+// actors (see pdesMesh): every node force-pushes its actor to the host
+// mid-window, fault arms (a crash and a NIC-complex failure) land
 // between the migration phases, and after recovery every node pulls its
 // actor back to the NIC. The node-local phases run on the owning
 // partition's engine; the cluster-visible commit — the actor-table
@@ -28,145 +25,74 @@ func init() {
 	register("migrate-pdes", "Forced push+pull migrations on a partitioned (PDES) mesh with fault arms landing between the migration phases", migratePDES)
 }
 
-// buildMigratePDESMesh is buildPDESMesh without the migration freeze:
-// actors are unpinned, migration hooks are wired, and each actor owns a
-// 256KB DMO region so the phase-3 object move has real bytes to charge.
-func buildMigratePDESMesh(opts Options, nodes, parts int) (*core.Cluster, []*core.Node, []*workload.Client) {
-	cl := core.NewPartitionedCluster(opts.seed(), parts)
-	cl.SetPDESWorkers(opts.PDESWorkers)
-	var nn []*core.Node
-	for i := 0; i < nodes; i++ {
-		n := cl.AddNode(core.Config{
-			Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-			LinkGbps: 10,
-		})
-		a := &actor.Actor{
-			ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i),
-			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-				ctx.Reply(m)
-				return sim.Microsecond
-			},
-			OnInit: func(ctx actor.Ctx) { ctx.Alloc(256 << 10) },
-		}
-		if err := n.Register(a, true, 1<<20); err != nil {
-			panic(err)
-		}
-		nn = append(nn, n)
-	}
-	clients := make([]*workload.Client, nodes)
-	for i := 0; i < nodes; i++ {
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, nn[i].Part)
-	}
-	return cl, nn, clients
-}
-
 func migratePDES(opts Options) *Result {
-	nodes, parts, window := pdesMeshSize(opts)
-	w := float64(window)
+	// Each actor owns a 256KB DMO region, so the phase-3 object move has
+	// real bytes to charge.
+	m, cfg := pdesMesh(opts, 256<<10)
+	cl, nn := m.Cluster, m.Nodes
+	w := float64(cfg.Window)
 	at := func(f float64) sim.Time { return sim.Time(w * f) }
 	// Forced pushes land mid-window; the fault arms are timed off the
 	// push into specific protocol phases (p1 = 200µs, p3 starts ~250µs
 	// in and moves the 256KB region for ~590µs more).
 	pushAt, pullAt := at(0.10), at(0.55)
 
-	type outcome struct {
-		nodes, parts         int
-		sent, answered       uint64
-		retried, gaveUp      uint64
-		pushOK, pullOK       int
-		pushRecs, pullRecs   int
-		pushBytes, pullBytes int
-		buffered             int
-		p50, p99             float64
-		injected             int
-		rounds, crossed      uint64
+	in, err := fault.Install(cl, fault.Schedule{Faults: []fault.Fault{
+		// Crash n000 mid phase-3 of its push (object move in flight);
+		// the commit still lands — placement survives the crash like
+		// durable state — and the node recovers before the pulls.
+		fault.Crash("n000", pushAt+320*sim.Microsecond, at(0.10)),
+		// Kill n001's NIC complex mid phase-1; re-homing skips the
+		// in-flight actor and the push finishes onto the host.
+		fault.NICFail("n001", pushAt+100*sim.Microsecond, at(0.10)),
+	}})
+	if err != nil {
+		panic(err)
 	}
-	outs := sweepMap(opts, 1, func(int) outcome {
-		cl, nn, clients := buildMigratePDESMesh(opts, nodes, parts)
-		in, err := fault.Install(cl, fault.Schedule{Faults: []fault.Fault{
-			// Crash n000 mid phase-3 of its push (object move in flight);
-			// the commit still lands — placement survives the crash like
-			// durable state — and the node recovers before the pulls.
-			fault.Crash("n000", pushAt+320*sim.Microsecond, at(0.10)),
-			// Kill n001's NIC complex mid phase-1; re-homing skips the
-			// in-flight actor and the push finishes onto the host.
-			fault.NICFail("n001", pushAt+100*sim.Microsecond, at(0.10)),
-		}})
-		if err != nil {
-			panic(err)
-		}
+	gaveUp := retryTraffic(m, cfg.Window)
 
-		gaveUp := make([]uint64, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			dst := (i + 1) % nodes
-			every(c.Eng(), 0, window, 10*sim.Microsecond, func(k uint64) {
-				gi := i
-				c.Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", dst), Dst: actor.ID(1 + dst),
-					Size: 256, FlowID: uint64(i)<<32 | k,
-					Timeout: 100 * sim.Microsecond, Retries: 4, Backoff: 2,
-					OnGiveUp: func() { gaveUp[gi]++ },
-				})
-			})
-		}
+	// pushOK[i]/pullOK[i] are written only by node i's partition engine
+	// (the same single-writer discipline as the give-up counts).
+	pushOK := make([]bool, len(nn))
+	pullOK := make([]bool, len(nn))
+	for i, n := range nn {
+		n.Eng().At(pushAt, func() { pushOK[i] = n.MigrateNow(actor.ID(1 + i)) })
+		n.Eng().At(pullAt, func() { pullOK[i] = n.PullNow() })
+	}
+	cl.RunUntil(cfg.Window + sim.Millisecond) // drain room for late retries
+	t := m.Totals()
 
-		// pushOK[i]/pullOK[i] are written only by node i's partition
-		// engine (same single-writer discipline as gaveUp).
-		pushOK := make([]bool, nodes)
-		pullOK := make([]bool, nodes)
-		for i := 0; i < nodes; i++ {
-			i := i
-			nn[i].Eng().At(pushAt, func() { pushOK[i] = nn[i].MigrateNow(actor.ID(1 + i)) })
-			nn[i].Eng().At(pullAt, func() { pullOK[i] = nn[i].PullNow() })
+	var pushes, pulls, pushRecs, pullRecs, pushBytes, pullBytes, buffered int
+	for i, n := range nn {
+		if pushOK[i] {
+			pushes++
 		}
-		cl.RunUntil(window + sim.Millisecond) // drain room for late retries
-
-		o := outcome{nodes: nodes, parts: parts, injected: in.Injected()}
-		lat := stats.NewSample()
-		for i, c := range clients { // fixed order: deterministic merge
-			o.sent += c.Sent
-			o.answered += c.Received
-			o.retried += c.Retried
-			o.gaveUp += gaveUp[i]
-			lat.Merge(c.Lat)
+		if pullOK[i] {
+			pulls++
 		}
-		for i, n := range nn {
-			if pushOK[i] {
-				o.pushOK++
+		for _, rec := range n.Migrations {
+			if rec.Pull {
+				pullRecs++
+				pullBytes += rec.BytesMoved
+			} else {
+				pushRecs++
+				pushBytes += rec.BytesMoved
 			}
-			if pullOK[i] {
-				o.pullOK++
-			}
-			for _, rec := range n.Migrations {
-				if rec.Pull {
-					o.pullRecs++
-					o.pullBytes += rec.BytesMoved
-				} else {
-					o.pushRecs++
-					o.pushBytes += rec.BytesMoved
-				}
-				o.buffered += rec.Buffered
-			}
+			buffered += rec.Buffered
 		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.rounds, o.crossed = cl.Group.Rounds(), cl.Group.Crossed()
-		return o
-	})
-	o := outs[0]
+	}
 
 	r := &Result{Header: []string{"metric", "value"}}
-	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", o.nodes, o.parts))
-	r.Add("requests sent/answered", fmt.Sprintf("%d/%d", o.sent, o.answered))
-	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", o.retried, o.gaveUp))
-	r.Add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", o.p50, o.p99))
-	r.Add("forced push/pull accepted", fmt.Sprintf("%d/%d", o.pushOK, o.pullOK))
-	r.Add("push records (count/bytes)", fmt.Sprintf("%d/%d", o.pushRecs, o.pushBytes))
-	r.Add("pull records (count/bytes)", fmt.Sprintf("%d/%d", o.pullRecs, o.pullBytes))
-	r.Add("buffered requests forwarded", o.buffered)
-	r.Add("faults injected", o.injected)
-	r.Add("windows/crossed", fmt.Sprintf("%d/%d", o.rounds, o.crossed))
+	r.Add("nodes x partitions", fmt.Sprintf("%dx%d", cfg.Nodes, cfg.Partitions))
+	r.Add("requests sent/answered", fmt.Sprintf("%d/%d", t.Sent, t.Received))
+	r.Add("retried/gave-up", fmt.Sprintf("%d/%d", t.Retried, gaveUp()))
+	r.Add("latency p50/p99 (us)", fmt.Sprintf("%.2f/%.2f", t.Lat.Percentile(50), t.Lat.Percentile(99)))
+	r.Add("forced push/pull accepted", fmt.Sprintf("%d/%d", pushes, pulls))
+	r.Add("push records (count/bytes)", fmt.Sprintf("%d/%d", pushRecs, pushBytes))
+	r.Add("pull records (count/bytes)", fmt.Sprintf("%d/%d", pullRecs, pullBytes))
+	r.Add("buffered requests forwarded", buffered)
+	r.Add("faults injected", in.Injected())
+	r.Add("windows/crossed", fmt.Sprintf("%d/%d", cl.Group.Rounds(), cl.Group.Crossed()))
 	r.Note("node-local migration phases run on the owning partition engine; the table/registration commit defers to the next window boundary (DESIGN.md §13)")
 	r.Note("arms: crash n000 mid phase-3 (commit lands anyway), NIC-down n001 mid phase-1 (re-homing skips the in-flight actor); a pull whose NIC dies in flight bounces back to the host and records nothing")
 	r.Note("pull records carry the direction tag, so both directions are accounted (a pull may be refused while a policy migration holds the latch)")

@@ -30,20 +30,6 @@ func scaleNodeSizes(opts Options) []int {
 	return []int{16, 64, 128, 256}
 }
 
-// scaleParts resolves the partition count for a mesh of n nodes under
-// the run's options: an explicit -pdes value wins, otherwise the mesh
-// default (min(8, n)).
-func scaleParts(opts Options, n int) int {
-	p := opts.PDESParts
-	if p <= 0 {
-		p = 8
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
 func scaleWindow(opts Options) sim.Time {
 	if opts.Quick {
 		return 300 * sim.Microsecond
@@ -57,7 +43,7 @@ func runScaleNodes(opts Options) *Result {
 	runs := sweepMap(opts, len(sizes), func(i int) mesh.Stats {
 		return mesh.Run(mesh.Config{
 			Nodes:      sizes[i],
-			Partitions: scaleParts(opts, sizes[i]),
+			Partitions: opts.PDESParts, // 0 takes mesh's default, min(8, nodes)
 			Workers:    opts.PDESWorkers,
 			Seed:       opts.seed(),
 			Window:     scaleWindow(opts),
@@ -105,11 +91,10 @@ type PDESBenchReport struct {
 
 // PDESBench measures the speedup matrix: for every mesh size, a
 // workers=1 baseline and then each requested worker count, all on the
-// same seed and partition count. Every parallel run's invariant
-// fingerprint is byte-compared against its baseline, so the artifact
-// simultaneously certifies determinism and records honest wall-clock
-// numbers (speedup > 1 requires GOMAXPROCS > 1; on one core the
-// barrier overhead makes it ≤ 1 by construction).
+// same seed and partition count, each run's fingerprint compared with
+// the baseline's (PDESBenchEntry.FingerprintOK). Speedup > 1 requires
+// GOMAXPROCS > 1; on one core the barrier overhead makes it ≤ 1 by
+// construction.
 func PDESBench(opts Options, sizes, workerCounts []int) *PDESBenchReport {
 	if len(sizes) == 0 {
 		sizes = scaleNodeSizes(opts)
@@ -128,7 +113,7 @@ func PDESBench(opts Options, sizes, workerCounts []int) *PDESBenchReport {
 	for _, n := range sizes {
 		cfg := mesh.Config{
 			Nodes:      n,
-			Partitions: scaleParts(opts, n),
+			Partitions: opts.PDESParts,
 			Seed:       opts.seed(),
 			Window:     window,
 			Check:      true,

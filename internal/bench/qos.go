@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -23,8 +24,8 @@ import (
 // thresholds, and the shard router. qos-storm and qos-skew run on
 // classic (single-engine) clusters — the controller requires one, and
 // classic runs are trivially byte-identical at any PDES worker count;
-// qos-lanes runs lanes + admission on the partitioned echo mesh, the
-// genuine PDES determinism coverage for the new layer.
+// qos-lanes runs lanes + admission on the partitioned echo mesh
+// (mesh.Build), the genuine PDES determinism coverage for the new layer.
 
 func init() {
 	register("qos-storm", "Tenant storm under a fault storm: admission + lanes + the SLO controller protect the well-behaved tenant (RKV, classic)", qosStorm)
@@ -444,149 +445,112 @@ type qosLanesOutcome struct {
 	crossed, rounds             uint64
 }
 
+// qosLanesRun drives tagged traffic over the partitioned echo mesh
+// (mesh.Build): 16 nodes over 1ms (8 over 400µs in quick mode), 1µs of
+// NIC work per echo, -pdes partitions (default 4).
 func qosLanesRun(opts Options) qosLanesOutcome {
-	nodes := 16
-	window := sim.Millisecond
+	cfg := mesh.Config{
+		Nodes: 16, Window: sim.Millisecond,
+		Partitions: meshParts(opts, 4), Workers: opts.PDESWorkers, Seed: opts.seed(),
+		ServiceNs: 1000,
+	}
 	if opts.Quick {
-		nodes = 8
-		window = 400 * sim.Microsecond
+		cfg.Nodes, cfg.Window = 8, 400*sim.Microsecond
 	}
-	parts := opts.PDESParts
-	if parts <= 0 {
-		parts = 4
-	}
-	if parts > nodes {
-		parts = nodes
+	m := mesh.Build(&cfg)
+	cl, nodes, window := m.Cluster, cfg.Nodes, cfg.Window
+
+	// Lanes + admission only: the controller reads cross-node state
+	// and is classic-only, so the partitioned run leaves it off — and
+	// every remaining piece of QoS state (one gate per client, one
+	// lane scheduler per node) lives on its owner's partition engine.
+	rt, err := qos.Install(cl, m.Nodes, &qos.Tenancy{
+		Tenants: []qos.Tenant{
+			{Name: "even", RatePerSec: 300_000, Burst: 64},
+			{Name: "odd", RatePerSec: 150_000, Burst: 64},
+		},
+		Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
+	})
+	if err != nil {
+		panic(err)
 	}
 
-	outs := sweepMap(opts, 1, func(int) qosLanesOutcome {
-		cl := core.NewPartitionedCluster(opts.seed(), parts)
-		cl.SetPDESWorkers(opts.PDESWorkers)
-
-		var nn []*core.Node
-		for i := 0; i < nodes; i++ {
-			n := cl.AddNode(core.Config{
-				Name: fmt.Sprintf("n%03d", i), NIC: spec.LiquidIOII_CN2350(),
-				LinkGbps: 10, DisableMigration: true,
-			})
-			a := &actor.Actor{
-				ID: actor.ID(1 + i), Name: fmt.Sprintf("svc%03d", i), PinNIC: true,
-				OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
-					ctx.Reply(m)
-					return sim.Microsecond
-				},
+	for i, c := range m.Clients {
+		rt.Bind(c)
+		tenant := uint16(i % 2)
+		dest := func(k uint64) (string, actor.ID) {
+			d := int(k) % nodes
+			if d == i {
+				d = (d + 1) % nodes
 			}
-			if err := n.Register(a, true, 1<<20); err != nil {
-				panic(err)
-			}
-			nn = append(nn, n)
+			return m.Nodes[d].Name, actor.ID(1 + d)
 		}
-
-		// Lanes + admission only: the controller reads cross-node state
-		// and is classic-only, so the partitioned run leaves it off — and
-		// every remaining piece of QoS state (one gate per client, one
-		// lane scheduler per node) lives on its owner's partition engine.
-		rt, err := qos.Install(cl, nn, &qos.Tenancy{
-			Tenants: []qos.Tenant{
-				{Name: "even", RatePerSec: 300_000, Burst: 64},
-				{Name: "odd", RatePerSec: 150_000, Burst: 64},
-			},
-			Lanes: qos.LaneConfig{DataCap: 32, TelemetryCap: 8, DispatchCost: 300 * sim.Nanosecond},
+		// Data plane: even clients pace at 250K/s, under their 300K/s
+		// budget — the well-behaved tenant is never rejected. Odd
+		// clients pace at 400K/s against a 150K/s budget, so their
+		// gates reject most of the excess at the edge.
+		interval := 4 * sim.Microsecond
+		if tenant == 1 {
+			interval = 2500 * sim.Nanosecond
+		}
+		every(c.Eng(), 0, window, interval, func(k uint64) {
+			node, id := dest(k*7 + uint64(i))
+			c.Send(workload.Request{
+				Node: node, Dst: id, Size: 256,
+				FlowID: uint64(i)<<32 | k, Tenant: tenant,
+			})
 		})
-		if err != nil {
-			panic(err)
-		}
-
-		clients := make([]*workload.Client, nodes)
-		for i := 0; i < nodes; i++ {
-			node := cl.Node(fmt.Sprintf("n%03d", i))
-			clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), 10, node.Part)
-			rt.Bind(clients[i])
-		}
-		for i := 0; i < nodes; i++ {
-			i := i
-			c := clients[i]
-			tenant := uint16(i % 2)
-			dest := func(k uint64) (string, actor.ID) {
-				d := int(k) % nodes
-				if d == i {
-					d = (d + 1) % nodes
-				}
-				return fmt.Sprintf("n%03d", d), actor.ID(1 + d)
-			}
-			// Data plane: even clients pace at 250K/s, under their 300K/s
-			// budget — the well-behaved tenant is never rejected. Odd
-			// clients pace at 400K/s against a 150K/s budget, so their
-			// gates reject most of the excess at the edge.
-			interval := 4 * sim.Microsecond
-			if tenant == 1 {
-				interval = 2500 * sim.Nanosecond
-			}
-			every(c.Eng(), 0, window, interval, func(k uint64) {
-				node, id := dest(k*7 + uint64(i))
-				c.Send(workload.Request{
-					Node: node, Dst: id, Size: 256,
-					FlowID: uint64(i)<<32 | k, Tenant: tenant,
-				})
+		// Control probes ride the top lane: never shed, never rejected.
+		every(c.Eng(), 0, window, 25*sim.Microsecond, func(k uint64) {
+			node, id := dest(k + uint64(i)*3)
+			c.Send(workload.Request{
+				Node: node, Dst: id, Size: 128,
+				FlowID: 1<<48 | uint64(i)<<32 | k,
+				Tenant: tenant, Class: uint8(qos.ClassControl),
 			})
-			// Control probes ride the top lane: never shed, never rejected.
-			every(c.Eng(), 0, window, 25*sim.Microsecond, func(k uint64) {
-				node, id := dest(k + uint64(i)*3)
+		})
+		// Telemetry bursts from the untabled infrastructure tenant:
+		// 24 back-to-back packets at one destination overrun the
+		// 8-deep telemetry lane and shed the excess without touching
+		// the tabled tenants' budgets.
+		every(c.Eng(), 0, window, 100*sim.Microsecond, func(k uint64) {
+			node, id := dest(k + uint64(i))
+			for j := 0; j < 24; j++ {
 				c.Send(workload.Request{
 					Node: node, Dst: id, Size: 128,
-					FlowID: 1<<48 | uint64(i)<<32 | k,
-					Tenant: tenant, Class: uint8(qos.ClassControl),
-				})
-			})
-			// Telemetry bursts from the untabled infrastructure tenant:
-			// 24 back-to-back packets at one destination overrun the
-			// 8-deep telemetry lane and shed the excess without touching
-			// the tabled tenants' budgets.
-			every(c.Eng(), 0, window, 100*sim.Microsecond, func(k uint64) {
-				node, id := dest(k + uint64(i))
-				for j := 0; j < 24; j++ {
-					c.Send(workload.Request{
-						Node: node, Dst: id, Size: 128,
-						FlowID: 2<<48 | uint64(i)<<32 | k,
-						Tenant: 99, Class: uint8(qos.ClassTelemetry),
-					})
-				}
-			})
-		}
-		// One untabled bulk stream slams 96-deep data trains into the far
-		// node: the 32-deep data watermark defers the overflow
-		// (backpressure) but, unlike telemetry, never drops it.
-		bulkDst := nodes - 1
-		every(clients[0].Eng(), 0, window, 50*sim.Microsecond, func(k uint64) {
-			for j := 0; j < 96; j++ {
-				clients[0].Send(workload.Request{
-					Node: fmt.Sprintf("n%03d", bulkDst), Dst: actor.ID(1 + bulkDst),
-					Size: 128, FlowID: 3<<48 | k, Tenant: 98,
+					FlowID: 2<<48 | uint64(i)<<32 | k,
+					Tenant: 99, Class: uint8(qos.ClassTelemetry),
 				})
 			}
 		})
-
-		cl.RunUntil(window)
-
-		o := qosLanesOutcome{nodes: nodes, parts: parts}
-		lat := stats.NewSample()
-		for _, c := range clients { // fixed order: deterministic percentiles
-			o.ops += c.Received
-			o.sent += c.Sent
-			lat.Merge(c.Lat)
+	}
+	// One untabled bulk stream slams 96-deep data trains into the far
+	// node: the 32-deep data watermark defers the overflow
+	// (backpressure) but, unlike telemetry, never drops it.
+	bulk, bulkDst := m.Clients[0], nodes-1
+	every(bulk.Eng(), 0, window, 50*sim.Microsecond, func(k uint64) {
+		for j := 0; j < 96; j++ {
+			bulk.Send(workload.Request{
+				Node: m.Nodes[bulkDst].Name, Dst: actor.ID(1 + bulkDst),
+				Size: 128, FlowID: 3<<48 | k, Tenant: 98,
+			})
 		}
-		o.p50, o.p99 = lat.Percentile(50), lat.Percentile(99)
-		o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
-		for t := 0; t < 2; t++ {
-			o.offered[t] = rt.OfferedTo(t)
-			o.admitted[t] = rt.AdmittedTo(t)
-			o.rejected[t] = rt.RejectedTo(t)
-		}
-		o.crossed = cl.Group.Crossed()
-		o.rounds = cl.Group.Rounds()
-		return o
 	})
-	return outs[0]
+
+	cl.RunUntil(window)
+
+	t := m.Totals()
+	o := qosLanesOutcome{nodes: nodes, parts: cfg.Partitions, ops: t.Received, sent: t.Sent,
+		p50: t.Lat.Percentile(50), p99: t.Lat.Percentile(99)}
+	o.enq, o.del, o.shed, o.backpressured = rt.LaneTotals()
+	for tn := 0; tn < 2; tn++ {
+		o.offered[tn] = rt.OfferedTo(tn)
+		o.admitted[tn] = rt.AdmittedTo(tn)
+		o.rejected[tn] = rt.RejectedTo(tn)
+	}
+	o.crossed = cl.Group.Crossed()
+	o.rounds = cl.Group.Rounds()
+	return o
 }
 
 func qosLanes(opts Options) *Result {

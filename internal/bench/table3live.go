@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"repro/internal/actor"
 	"repro/internal/core"
 	"repro/internal/microbench"
 	"repro/internal/sim"
@@ -58,7 +57,6 @@ func table3Live(opts Options) *Result {
 		measured := a.ServiceStats.Mean()
 		want := prof.ExecLat1KB.Micros()
 		delta := (measured - want) / want * 100
-		_ = actor.Stable
 		return []any{w.Name(), want, measured, delta}
 	})
 	for _, row := range rows {

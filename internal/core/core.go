@@ -682,7 +682,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 	}
 	if ref.Node != n.Name {
 		// Mid-flight to a remote actor (rare): send it over the wire.
-		n.sendRemote(m, ref.Node, false)
+		n.sendRemote(m, ref.Node)
 		return
 	}
 	// The actor is mid-migration (pulled off the host, not yet started
@@ -695,7 +695,7 @@ func (n *Node) hostUnowned(m actor.Msg) {
 }
 
 // sendRemote serializes a message onto the network.
-func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
+func (n *Node) sendRemote(m actor.Msg, dstNode string) {
 	size := msgring.HeaderBytes + len(m.Data)
 	if m.WireSize > size {
 		size = m.WireSize
@@ -711,7 +711,6 @@ func (n *Node) sendRemote(m actor.Msg, dstNode string, fromNIC bool) {
 		FlowID:  m.FlowID,
 		Payload: m,
 	})
-	_ = fromNIC
 }
 
 // killActor is the watchdog's OnKill: deregister everywhere and free

@@ -202,7 +202,7 @@ func (c *execCtx) deliverLocalFromNIC(m actor.Msg) {
 	case !ok:
 		n.Dropped++
 	case ref.Node != n.Name:
-		n.sendRemote(m, ref.Node, true)
+		n.sendRemote(m, ref.Node)
 	case ref.OnNIC:
 		m.Via = actor.ViaLocal
 		n.Sched.Arrive(m)
@@ -219,7 +219,7 @@ func (c *execCtx) deliverLocalFromHost(m actor.Msg) {
 	case !ok:
 		n.Dropped++
 	case ref.Node != n.Name:
-		n.sendRemote(m, ref.Node, false)
+		n.sendRemote(m, ref.Node)
 	case ref.OnNIC:
 		m.Via = actor.ViaRing
 		if _, err := n.Chan.HostPush(toRingMsg(m)); err != nil {

@@ -190,12 +190,13 @@ func (n *Node) pullFromHost() bool {
 // is already in flight, instead of interleaving with it — and refuses
 // to run the 4-phase protocol against dead hardware: a crashed node or
 // a failed NIC complex defers to the fault-path re-homing (FailNIC).
+// Like the scheduler's policy, it never moves a PinNIC actor.
 func (n *Node) MigrateNow(id actor.ID) bool {
 	if n.Sched == nil || n.down || n.nicDown {
 		return false
 	}
 	a, ok := n.Sched.Actor(id)
-	if !ok || a.State != actor.Stable {
+	if !ok || a.State != actor.Stable || a.PinNIC {
 		return false
 	}
 	if !n.Sched.TryLatchMigration() {

@@ -164,11 +164,12 @@ func (e *ScheduleError) Error() string {
 }
 
 // Validate checks the schedule against a cluster: known target nodes,
-// positive windows that do not start before the engine's current time,
-// sane parameters. Partition/LinkLoss/LinkFlap targets may name client
-// endpoints (attached to the network but not cluster nodes), so only
-// node-runtime faults require a cluster node. Every failure is a
-// *ScheduleError.
+// positive windows that do not start before the clock the arm is
+// scheduled on (the group's barrier floor for a barrier arm, the owning
+// node's engine for a local arm), sane parameters. Partition/LinkLoss/
+// LinkFlap targets may name client endpoints (attached to the network
+// but not cluster nodes), so only node-runtime faults require a cluster
+// node. Every failure is a *ScheduleError.
 func (s Schedule) Validate(cl *core.Cluster) error {
 	for i, f := range s.Faults {
 		where := func(msg string, args ...any) error {
@@ -177,8 +178,12 @@ func (s Schedule) Validate(cl *core.Cluster) error {
 		if f.At < 0 {
 			return where("negative start time %v", f.At)
 		}
-		if now := cl.Eng.Now(); f.At < now {
-			return where("window starts in the past (start %v, engine now %v)", f.At, now)
+		now := cl.Group.Floor()
+		if n := cl.Node(f.Node); n != nil && !f.barrierArm() {
+			now = n.Eng().Now()
+		}
+		if f.At < now {
+			return where("window starts in the past (start %v, clock %v)", f.At, now)
 		}
 		if f.Dur <= 0 {
 			return where("fault window must be positive, got %v", f.Dur)
@@ -289,10 +294,10 @@ func (f Fault) barrierArm() bool {
 // the owning partition's engine. Jitter comes from the seeded PRNG of
 // the partition whose slot the arm logs in: partition 0 for barrier
 // arms, the owning partition for local arms. A mis-built schedule
-// (unknown node, non-positive window, start before the engine's current
-// time) is rejected with a *ScheduleError before anything reaches the
-// engine. Installing an empty schedule is allowed and yields an
-// injector that never fires.
+// (unknown node, non-positive window, start before the clock its arm is
+// scheduled on) is rejected with a *ScheduleError before anything
+// reaches the engine. Installing an empty schedule is allowed and yields
+// an injector that never fires.
 func Install(cl *core.Cluster, s Schedule) (*Injector, error) {
 	if err := s.Validate(cl); err != nil {
 		return nil, err

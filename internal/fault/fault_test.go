@@ -232,6 +232,59 @@ func TestInstallRejectsPastStart(t *testing.T) {
 	}
 }
 
+// TestInstallRejectsPastStartPartitioned checks each arm against the
+// clock it is scheduled on. On a partitioned cluster partition 0's clock
+// is not that clock: a local arm runs on its node's partition engine,
+// and a barrier arm must not precede the group's commit floor. Each
+// case used to pass Validate and then panic inside Install.
+func TestInstallRejectsPastStartPartitioned(t *testing.T) {
+	ms := sim.Millisecond
+	// drained runs p0 to 1ms and p1 (n1's partition) to 5ms.
+	drained := func(cl *core.Cluster) {
+		cl.Group.Engine(0).At(ms, func() {})
+		cl.Group.Engine(1).At(5*ms, func() {})
+		cl.Run()
+	}
+	until2ms := func(cl *core.Cluster) { cl.RunUntil(2 * ms) }
+	cases := []struct {
+		name    string
+		advance func(*core.Cluster)
+		f       Fault
+		past    bool
+	}{
+		{"local arm behind its node's partition", drained, Overload("n1", 2*ms, ms, 4), true},
+		{"barrier arm behind the drained floor", drained, Crash("n0", 2*ms, ms), true},
+		{"barrier arm at a RunUntil deadline", until2ms, Crash("n0", 2*ms, ms), true},
+		{"local arm ahead of its node's partition", drained, Overload("n0", 2*ms, ms, 4), false},
+		{"barrier arm past the drained floor", drained, Crash("n0", 6*ms, ms), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cl, _, _ := partCluster(t, 5, 2, 2)
+			c.advance(cl)
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Install panicked instead of validating: %v", r)
+					}
+				}()
+				_, err = Install(cl, Schedule{Faults: []Fault{c.f}})
+			}()
+			if !c.past {
+				if err != nil {
+					t.Fatalf("schedule at the arm's clock rejected: %v", err)
+				}
+				return
+			}
+			var se *ScheduleError
+			if !errors.As(err, &se) || se.Index != 0 || !strings.Contains(se.Reason, "past") {
+				t.Fatalf("err = %v, want a past-start *ScheduleError for fault 0", err)
+			}
+		})
+	}
+}
+
 // partCluster builds a partitioned (PDES) cluster with one echo actor
 // per node (ID 100+i, NIC-resident) and a self-ticking source on node 0
 // that sprays every other node, so fault windows have cross-partition

@@ -248,7 +248,6 @@ func (c *Checker) NetDrop(reason string) {
 	if c == nil {
 		return
 	}
-	_ = reason
 	c.netDropped++
 	c.netBalance()
 }
@@ -521,7 +520,6 @@ func (c *Checker) MigrateAbort(node, actor string, push bool) {
 	if c == nil {
 		return
 	}
-	_ = push
 	c.migAborted++
 	c.migrationBalance(node, actor)
 }

@@ -1,10 +1,13 @@
-// Package mesh builds the datacenter-scale topologies the PDES engine
-// exists for: N SmartNIC-equipped server nodes behind one switch, each
-// paired with a closed-loop client, all clients issuing small RPCs to
-// Zipf-chosen servers. It is the "millions of users hitting a few hot
-// nodes" shape of the paper's RKV evaluation blown up past the 8-node
-// testbed — the workload is deliberately simple (echo-style RPC with a
-// fixed NIC-side service cost) so the experiment measures the engine
+// Package mesh builds the echo topology every partitioned experiment
+// uses: N SmartNIC-equipped server nodes behind one switch, one echo
+// actor per node (ID 1+i, replying at a fixed NIC-side service cost),
+// and one client per node. Build makes the topology and schedules no
+// traffic, so each caller drives its own load — faults, migrations and
+// QoS lanes all ride this one builder. Run is the scale-out experiment
+// on it: every client issues small RPCs to Zipf-chosen servers in a
+// closed loop, the "millions of users hitting a few hot nodes" shape of
+// the paper's RKV evaluation blown up past the 8-node testbed. The
+// workload is deliberately simple so the experiment measures the engine
 // and the fabric, not an application.
 //
 // Every node (its NIC, host, PCIe and link models) and its client live
@@ -13,8 +16,8 @@
 // triple regardless of worker count.
 //
 // Observability: attach a tracer/collector through
-// core.SetDefaultObserver before calling Run — the partitioned cluster
-// shards the tracer per partition and samples metrics at window
+// core.SetDefaultObserver before calling Build or Run — the partitioned
+// cluster shards the tracer per partition and samples metrics at window
 // boundaries, so enabling observability changes neither the results nor
 // their worker-count independence (the exported artifacts are
 // themselves byte-identical at any worker count).
@@ -59,6 +62,12 @@ type Config struct {
 	Window sim.Time
 	// Check attaches per-partition invariant checkers.
 	Check bool
+	// ObjectBytes, when positive, makes the echo actors migratable:
+	// they are not pinned to the NIC, the nodes' migration machinery is
+	// on, and each actor's OnInit allocates this many DMO bytes, so a
+	// migration's object move has real bytes to charge. 0 pins every
+	// actor to its NIC with migration off.
+	ObjectBytes int
 }
 
 // Stats is one run's deterministic outcome plus its wall-clock cost.
@@ -86,16 +95,24 @@ type Stats struct {
 
 func nodeName(i int) string { return fmt.Sprintf("n%03d", i) }
 
-// Run builds the mesh, drives it for the window, and reports.
-func Run(cfg Config) Stats {
+// Mesh is a built echo topology: node i hosts echo actor 1+i, and
+// Clients[i] is attached on node i's partition.
+type Mesh struct {
+	Cluster *core.Cluster
+	Nodes   []*core.Node
+	Clients []*workload.Client
+	chks    []*invariant.Checker
+}
+
+// Build applies cfg's defaults in place and builds the cluster, its
+// nodes, their echo actors and one client per node. It schedules no
+// traffic.
+func Build(cfg *Config) *Mesh {
 	if cfg.Nodes < 2 {
 		cfg.Nodes = 2
 	}
 	if cfg.Partitions <= 0 {
-		cfg.Partitions = cfg.Nodes
-		if cfg.Partitions > 8 {
-			cfg.Partitions = 8
-		}
+		cfg.Partitions = min(cfg.Nodes, 8)
 	}
 	if cfg.Partitions > cfg.Nodes {
 		cfg.Partitions = cfg.Nodes
@@ -118,42 +135,72 @@ func Run(cfg Config) Stats {
 
 	cl := core.NewPartitionedCluster(cfg.Seed, cfg.Partitions)
 	cl.SetPDESWorkers(cfg.Workers)
-	var chks []*invariant.Checker
+	m := &Mesh{Cluster: cl}
 	if cfg.Check {
-		chks = cl.AttachCheckers()
+		m.chks = cl.AttachCheckers()
 	}
 
 	serviceCost := sim.Time(cfg.ServiceNs)
+	objectBytes := cfg.ObjectBytes
+	migrate := objectBytes > 0
 	for i := 0; i < cfg.Nodes; i++ {
 		n := cl.AddNode(core.Config{
 			Name:             nodeName(i),
 			NIC:              spec.LiquidIOII_CN2350(),
-			DisableMigration: true,
+			DisableMigration: !migrate,
 		})
 		a := &actor.Actor{
 			ID:     actor.ID(1 + i),
 			Name:   fmt.Sprintf("svc%03d", i),
-			PinNIC: true,
+			PinNIC: !migrate,
 			OnMessage: func(ctx actor.Ctx, m actor.Msg) sim.Time {
 				ctx.Reply(m)
 				return serviceCost
 			},
 		}
+		if migrate {
+			a.OnInit = func(ctx actor.Ctx) { ctx.Alloc(objectBytes) }
+		}
 		if err := n.Register(a, true, 1<<20); err != nil {
 			panic(err)
 		}
+		m.Nodes = append(m.Nodes, n)
 	}
+	// One client per server node, attached on the same partition so its
+	// request generation parallelizes with it.
+	for i, n := range m.Nodes {
+		c := workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), cl.Net.LinkGbps(n.Name), n.Part)
+		m.Clients = append(m.Clients, c)
+	}
+	return m
+}
 
-	// One closed-loop client per server node, attached on the same
-	// partition so its request generation parallelizes with it.
-	clients := make([]*workload.Client, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		node := cl.Node(nodeName(i))
-		clients[i] = workload.NewClientAt(cl, fmt.Sprintf("c%03d", i), cl.Net.LinkGbps(node.Name), node.Part)
+// Totals is the clients' combined ledger.
+type Totals struct {
+	Sent, Received, Rejected, Retried uint64
+	// Lat merges every client's latency samples in client order, so its
+	// percentiles are deterministic.
+	Lat *stats.Sample
+}
+
+// Totals sums the clients' counters and merges their latencies.
+func (m *Mesh) Totals() Totals {
+	t := Totals{Lat: stats.NewSample()}
+	for _, c := range m.Clients {
+		t.Sent += c.Sent
+		t.Received += c.Received
+		t.Rejected += c.Rejected
+		t.Retried += c.Retried
+		t.Lat.Merge(c.Lat)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		i := i
-		c := clients[i]
+	return t
+}
+
+// Run builds the mesh, drives every client's Zipf closed loop for the
+// window, and reports.
+func Run(cfg Config) Stats {
+	m := Build(&cfg)
+	for i, c := range m.Clients {
 		zipf := workload.NewZipf(c.Eng().Rand(), uint64(cfg.Nodes), cfg.Theta)
 		c.ClosedLoop(cfg.Depth, cfg.Window, func(k uint64) workload.Request {
 			dst := int(zipf.Next())
@@ -169,33 +216,31 @@ func Run(cfg Config) Stats {
 		})
 	}
 
+	cl := m.Cluster
 	start := time.Now()
 	cl.RunUntil(cfg.Window)
 	wall := time.Since(start)
 
+	tot := m.Totals()
 	out := Stats{
 		Nodes:      cfg.Nodes,
 		Partitions: cfg.Partitions,
 		Workers:    cfg.Workers,
+		Ops:        tot.Received,
+		Sent:       tot.Sent,
+		TputKops:   float64(tot.Received) / cfg.Window.Seconds() / 1e3,
+		P50us:      tot.Lat.Percentile(50),
+		P99us:      tot.Lat.Percentile(99),
+		Events:     cl.Group.ExecutedEvents(),
+		Crossed:    cl.Group.Crossed(),
+		Rounds:     cl.Group.Rounds(),
 		Wall:       wall,
 		Violations: -1,
 	}
-	lat := stats.NewSample()
-	for _, c := range clients { // fixed order: deterministic percentiles
-		out.Ops += c.Received
-		out.Sent += c.Sent
-		lat.Merge(c.Lat)
-	}
-	out.TputKops = float64(out.Ops) / cfg.Window.Seconds() / 1e3
-	out.P50us = lat.Percentile(50)
-	out.P99us = lat.Percentile(99)
-	out.Events = cl.Group.ExecutedEvents()
-	out.Crossed = cl.Group.Crossed()
-	out.Rounds = cl.Group.Rounds()
 	if cfg.Check {
 		out.Violations = 0
 		var fp string
-		for _, chk := range chks {
+		for _, chk := range m.chks {
 			chk.Finish()
 			if err := chk.Err(); err != nil {
 				out.Violations++

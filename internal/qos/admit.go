@@ -120,7 +120,6 @@ func (g *Gate) Latency(tenant uint16, class uint8, us float64) {
 	if g.ctl != nil {
 		g.ctl.Observe(tenant, us)
 	}
-	_ = class
 }
 
 // RegisterMetrics exposes the gate's per-tenant admission counters.

@@ -239,9 +239,9 @@ func (g *Group) OnRound(fn func(limit Time)) {
 // Call AtBarrier before RunUntil or from coordinator context (another
 // barrier action) — never from inside window execution, where it would
 // race on the queue (use DeferBarrier there). Scheduling an action
-// before the group's commit floor (a window already executed past it)
-// panics, mirroring Engine.At on past times. Actions past the RunUntil
-// deadline stay queued for a later run.
+// before the group's commit floor (Floor: a window already executed
+// past it) panics, mirroring Engine.At on past times. Actions past the
+// RunUntil deadline stay queued for a later run.
 func (g *Group) AtBarrier(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil barrier action")
@@ -255,6 +255,16 @@ func (g *Group) AtBarrier(at Time, fn func()) {
 	}
 	g.bseq++
 	g.barriers = append(g.barriers, barrierAction{at: at, seq: g.bseq, fn: fn})
+}
+
+// Floor returns the earliest time AtBarrier accepts: the engine's clock
+// on a single-partition group, the commit floor on a multi-partition
+// one (every event strictly before it has executed).
+func (g *Group) Floor() Time {
+	if len(g.engs) == 1 {
+		return g.engs[0].Now()
+	}
+	return g.floor
 }
 
 // DeferBarrier queues fn to run at the next window boundary, callable

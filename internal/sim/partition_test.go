@@ -305,6 +305,22 @@ func TestAtBarrierPastFloorPanics(t *testing.T) {
 	g.AtBarrier(2*Microsecond, func() {})
 }
 
+// TestGroupFloor: Floor is the earliest time AtBarrier accepts — the
+// engine's clock on one partition, the commit floor (one past a RunUntil
+// deadline) on several.
+func TestGroupFloor(t *testing.T) {
+	for parts, want := range map[int]Time{1: 5 * Microsecond, 2: 5*Microsecond + 1} {
+		g := NewGroup(3, parts)
+		g.TightenLookahead(Microsecond)
+		g.Engine(0).At(Microsecond, func() {})
+		g.RunUntil(5*Microsecond, 1)
+		if got := g.Floor(); got != want {
+			t.Fatalf("%d partitions: Floor = %v, want %v", parts, got, want)
+		}
+		g.AtBarrier(g.Floor(), func() {}) // at the floor: accepted
+	}
+}
+
 // TestAtBarrierPastDeadlineStaysQueued: an action beyond the RunUntil
 // deadline does not run in that call, and fires on a later RunUntil that
 // covers it — on both the single-engine and windowed paths.
